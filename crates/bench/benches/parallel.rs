@@ -1,6 +1,5 @@
-//! Criterion benchmarks of the morsel-parallel OPT engine: serial OPT vs
-//! parallel OPT at several worker counts on a scan-heavy and an
-//! aggregate-heavy query. The results are bit-identical by construction
+//! Criterion benchmarks of the morsel OPT engine: one worker vs several
+//! workers on a scan-heavy and an aggregate-heavy query. The results are bit-identical by construction
 //! (see `minidb/tests/parallel_query.rs`), so the only question left is
 //! the wall clock — exhibit E19 turns these same arms into a designed
 //! experiment with CIs; this bench is the quick local loop.

@@ -233,6 +233,23 @@ impl Column {
         }
     }
 
+    /// The rows `range` as a new column: a contiguous copy (strings keep
+    /// the shared dictionary).
+    ///
+    /// # Panics
+    /// Panics if `range` is out of bounds.
+    pub fn slice(&self, range: std::ops::Range<usize>) -> Column {
+        match self {
+            Column::Int(v) => Column::Int(v[range].to_vec()),
+            Column::Float(v) => Column::Float(v[range].to_vec()),
+            Column::Bool(v) => Column::Bool(v[range].to_vec()),
+            Column::Str { dict, codes } => Column::Str {
+                dict: Arc::clone(dict),
+                codes: codes[range].to_vec(),
+            },
+        }
+    }
+
     /// Concatenates `parts` (all of type `dt`) into one column, in order.
     ///
     /// This is the deterministic morsel merge: element `j` of part `p`
@@ -432,6 +449,19 @@ mod tests {
         let before = cloned_bytes();
         let _copy = c.clone();
         assert_eq!(cloned_bytes() - before, 80, "10 i64s = 80 bytes");
+    }
+
+    #[test]
+    fn slice_copies_a_contiguous_range() {
+        let mut c = Column::new(DataType::Str);
+        for s in ["a", "b", "c", "d"] {
+            c.push(Value::Str(s.into())).unwrap();
+        }
+        let s = c.slice(1..3);
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get(0), Value::Str("b".into()));
+        assert_eq!(s.get(1), Value::Str("c".into()));
+        assert!(c.slice(4..4).is_empty());
     }
 
     #[test]

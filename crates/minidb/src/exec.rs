@@ -9,7 +9,9 @@
 //!   (the `--enable-debug --enable-assert` build).
 //! * [`ExecMode::Optimized`] — a column-at-a-time engine with
 //!   type-specialized kernels, selection vectors, and dictionary-code
-//!   comparisons (the `-O6` build).
+//!   comparisons (the `-O6` build). Its scans, filters, projections,
+//!   joins and aggregates run over morsels in [`crate::parallel`], with
+//!   one worker or many.
 //!
 //! Both produce identical results (tested); they differ only in speed — by
 //! roughly the factor the tutorial's DBG/OPT figure shows, growing with how
@@ -103,8 +105,8 @@ pub struct ProfileEntry {
     /// Depth in the plan tree (0 = root).
     pub depth: usize,
     /// Time spent in this operator excluding its children, ms. For
-    /// morsel-parallel operators this is CPU time summed across workers,
-    /// so it can exceed the node's wall-clock share.
+    /// morsel operators this is CPU time summed across workers, so it can
+    /// exceed the node's wall-clock share.
     pub exclusive_ms: f64,
     /// Rows this operator produced.
     pub rows_out: usize,
@@ -169,21 +171,19 @@ pub struct Executor<'a> {
     pub(crate) pool: Option<&'a mut BufferPool>,
     pub(crate) tracer: Option<&'a Tracer>,
     pub(crate) profile: Vec<ProfileEntry>,
-    /// Morsel parallelism for the optimized engine: worker threads and
-    /// morsel granularity. `threads <= 1` is the serial engine.
+    /// Morsel workers and granularity for the optimized engine.
     pub(crate) parallel: ParallelConfig,
-    /// Note attached to the next profile entry the executor emits (set by
-    /// operators that make a recorded choice, e.g. join build side).
-    pub(crate) pending_note: Option<String>,
     /// Cooperative cancellation, polled at operator and morsel
     /// boundaries. `None` (the default) costs nothing on the hot path.
     pub(crate) cancel: Option<crate::cancel::CancelToken>,
 }
 
-/// Morsel-parallelism knobs for the optimized engine.
+/// Morsel knobs for the optimized engine, which runs its operators over
+/// morsels at every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ParallelConfig {
-    /// Worker threads; `<= 1` runs serially.
+    /// Morsel workers; `1` drains the morsel queue inline on the calling
+    /// thread.
     pub threads: usize,
     /// Rows per morsel (fixed-size row ranges over the input).
     pub morsel_rows: usize,
@@ -224,6 +224,7 @@ pub fn plan_label(plan: &Plan) -> String {
 /// Columns are shared by `Arc`: a scan batch holds the base table's own
 /// columns (zero-copy), and operators that merely reorder references
 /// (identity projections) clone handles, not data.
+#[derive(Clone)]
 pub(crate) struct Batch {
     pub(crate) names: Vec<String>,
     pub(crate) cols: Vec<Arc<Column>>,
@@ -252,6 +253,18 @@ impl Batch {
                 .collect(),
         }
     }
+
+    /// Rows `range` as a batch of their own (contiguous copies).
+    pub(crate) fn slice(&self, range: std::ops::Range<usize>) -> Batch {
+        Batch {
+            names: self.names.clone(),
+            cols: self
+                .cols
+                .iter()
+                .map(|c| Arc::new(c.slice(range.clone())))
+                .collect(),
+        }
+    }
 }
 
 /// Hashable key for joins and group-by (SQL NULL never matches, so keys are
@@ -262,6 +275,9 @@ pub(crate) enum Key {
     F(u64),
     S(String),
     B(bool),
+    /// A dictionary code: equal codes name equal strings only within one
+    /// dictionary (the morsel aggregation's string group keys).
+    C(u32),
 }
 
 pub(crate) fn value_key(v: &Value) -> Option<Key> {
@@ -337,8 +353,8 @@ impl AggState {
 
     /// Typed update straight off a column — bitwise the same accumulation
     /// as `update(&col.get(i))` (same f64 additions in the same order)
-    /// without boxing a [`Value`] per row. Used by both the serial and the
-    /// morsel-parallel aggregation paths, which keeps them bit-identical.
+    /// without boxing a [`Value`] per row, which keeps the morsel fold
+    /// bit-identical to the debug engine's row-at-a-time `update`.
     pub(crate) fn update_from_col(&mut self, col: &Column, i: usize) {
         match (self, col) {
             (AggState::Sum { acc, .. }, Column::Int(v)) => *acc += v[i] as f64,
@@ -357,39 +373,39 @@ impl AggState {
         }
     }
 
-    /// Folds an entire column into this accumulator with the lane kernels,
-    /// returning `false` when no kernel can prove bit-identity with the
-    /// serial per-row fold (the caller must then replay `update_from_col`).
+    /// Folds a whole input — every morsel's slice of the argument column,
+    /// in order — into this fresh accumulator with the lane kernels. It
+    /// returns `false`, leaving the state untouched, when no kernel can
+    /// prove bit-identity with the per-row fold over the whole input (the
+    /// caller must then replay `update_from_col`).
     ///
     /// Only integer folds qualify: `sum_i64_exact` proves every serial f64
     /// prefix sum exact before answering, COUNT is order-free, and integer
     /// MIN/MAX are order-free. Float folds always return `false` — f64
     /// addition is non-associative and the engine's contract is bitwise
     /// equality, not approximate equality.
-    pub(crate) fn update_bulk(&mut self, col: &Column) -> bool {
-        match (&mut *self, col) {
-            (AggState::Sum { acc, .. }, Column::Int(v)) => match kernels::sum_i64_exact(v) {
-                Some(total) => {
-                    *acc += total as f64;
-                    true
-                }
-                None => false,
+    pub(crate) fn update_bulk(&mut self, parts: &[(&Column, std::ops::Range<usize>)]) -> bool {
+        let ints: Option<Vec<&[i64]>> = parts
+            .iter()
+            .map(|(c, r)| c.as_int().map(|v| &v[r.clone()]))
+            .collect();
+        let rows = parts.iter().map(|(_, r)| r.len() as i64).sum::<i64>();
+        match (&mut *self, ints) {
+            // Columns are NULL-free, so COUNT counts every row.
+            (AggState::Count(n), _) => *n += rows,
+            (AggState::Sum { acc, .. }, Some(v)) => match kernels::sum_i64_exact(&v) {
+                Some(total) => *acc += total as f64,
+                None => return false,
             },
-            (AggState::Avg { sum, n }, Column::Int(v)) => match kernels::sum_i64_exact(v) {
+            (AggState::Avg { sum, n }, Some(v)) => match kernels::sum_i64_exact(&v) {
                 Some(total) => {
                     *sum += total as f64;
-                    *n += v.len() as i64;
-                    true
+                    *n += rows;
                 }
-                None => false,
+                None => return false,
             },
-            // Columns are NULL-free, so COUNT counts every row.
-            (AggState::Count(n), col) => {
-                *n += col.len() as i64;
-                true
-            }
-            (AggState::Min { slot, .. }, Column::Int(v)) => {
-                if let Some(m) = kernels::min_i64(v) {
+            (AggState::Min { slot, .. }, Some(v)) => {
+                if let Some(m) = v.iter().filter_map(|s| kernels::min_i64(s)).min() {
                     let replace = match slot {
                         None => true,
                         Some(Value::Int(cur)) => m < *cur,
@@ -399,10 +415,9 @@ impl AggState {
                         *slot = Some(Value::Int(m));
                     }
                 }
-                true
             }
-            (AggState::Max { slot, .. }, Column::Int(v)) => {
-                if let Some(m) = kernels::max_i64(v) {
+            (AggState::Max { slot, .. }, Some(v)) => {
+                if let Some(m) = v.iter().filter_map(|s| kernels::max_i64(s)).max() {
                     let replace = match slot {
                         None => true,
                         Some(Value::Int(cur)) => m > *cur,
@@ -412,10 +427,10 @@ impl AggState {
                         *slot = Some(Value::Int(m));
                     }
                 }
-                true
             }
-            _ => false,
+            _ => return false,
         }
+        true
     }
 
     pub(crate) fn update(&mut self, v: &Value) {
@@ -496,14 +511,13 @@ impl<'a> Executor<'a> {
             tracer: None,
             profile: Vec::new(),
             parallel: ParallelConfig::default(),
-            pending_note: None,
             cancel: None,
         }
     }
 
     /// Attaches a cancellation token: the executor polls it at every
     /// operator boundary (both engines) and at every morsel boundary
-    /// (the parallel paths), unwinding with [`DbError::Cancelled`] so a
+    /// (the optimized engine), unwinding with [`DbError::Cancelled`] so a
     /// cancelled query frees its threads within one morsel of work.
     pub fn with_cancel(mut self, token: crate::cancel::CancelToken) -> Self {
         self.cancel = Some(token);
@@ -519,17 +533,18 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Sets the worker-thread count for the optimized engine's
-    /// morsel-driven operators. `n <= 1` (the default) runs serially;
-    /// results are bit-identical either way. The debug engine ignores the
-    /// knob — a "debug build" stays single-threaded by design.
+    /// Sets the number of morsel workers for the optimized engine. `n <= 1`
+    /// (the default) means one worker, which drains the morsel queue inline
+    /// on the calling thread; results are bit-identical for every count.
+    /// The debug engine ignores the knob — a "debug build" stays
+    /// single-threaded by design.
     pub fn with_parallelism(mut self, n: usize) -> Self {
         self.parallel.threads = n.max(1);
         self
     }
 
-    /// Sets the morsel granularity (rows per morsel) used when
-    /// parallelism is enabled.
+    /// Sets the morsel granularity (rows per morsel) of the optimized
+    /// engine, at every worker count.
     ///
     /// # Panics
     /// Panics if `rows` is zero.
@@ -915,7 +930,7 @@ impl<'a> Executor<'a> {
             depth,
             exclusive_ms: (total_ms - child_ms).max(0.0),
             rows_out: entry_rows,
-            note: self.pending_note.take(),
+            note: None,
         });
         Ok(result)
     }
@@ -926,117 +941,23 @@ impl<'a> Executor<'a> {
 
     pub(crate) fn run_batch(&mut self, plan: &Plan, depth: usize) -> Result<Batch, DbError> {
         self.check_cancel()?;
-        // Morsel-driven parallel operators take over eligible subtrees
-        // (scan→filter→project pipelines, aggregates, join probes) when
-        // parallelism is enabled and the input is big enough to split.
-        if self.parallel.threads > 1 {
-            if let Some(batch) = crate::parallel::try_parallel(self, plan, depth)? {
-                return Ok(batch);
-            }
-        }
+        // Scans, filters, projections, joins and aggregates run over
+        // morsels; only the operators that cannot split stay here.
+        let input = match plan {
+            Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input }
+            | Plan::TopN { input, .. } => input,
+            _ => return crate::parallel::run_operator(self, plan, depth),
+        };
         let start = Instant::now();
         let label = plan_label(plan);
-        let pool_before = match plan {
-            Plan::Scan { .. } => self.io_counters(),
-            _ => None,
-        };
         let mut span = self.tracer.map(|t| t.span(&label));
-        let mut child_ms = 0.0;
+        let c0 = Instant::now();
+        let input_batch = self.run_batch(input, depth + 1)?;
+        let child_ms = c0.elapsed().as_secs_f64() * 1e3;
         let batch = match plan {
-            Plan::Scan { table, projection } => {
-                self.charge_scan(table)?;
-                let t = self.catalog.table(table)?;
-                // Zero-copy: the batch shares the table's columns by Arc
-                // (disk-backed tables fetch through the buffer pool —
-                // still an Arc clone once resident).
-                let (names, cols): (Vec<String>, Vec<Arc<Column>>) = match projection {
-                    None => (
-                        t.column_names().to_vec(),
-                        (0..t.column_count())
-                            .map(|i| t.column_arc_io(i))
-                            .collect::<Result<_, DbError>>()?,
-                    ),
-                    Some(idxs) => (
-                        idxs.iter().map(|&i| t.column_names()[i].clone()).collect(),
-                        idxs.iter()
-                            .map(|&i| t.column_arc_io(i))
-                            .collect::<Result<_, DbError>>()?,
-                    ),
-                };
-                Batch { names, cols }
-            }
-            Plan::Filter { input, predicate } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let bound = predicate.bind(&schema)?;
-                let selection = vectorized_filter(&input_batch, &bound, self.engine())?;
-                input_batch.take(&selection)
-            }
-            Plan::Project { input, exprs } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let schema = input_batch.schema();
-                let mut names = Vec::with_capacity(exprs.len());
-                let mut cols = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    let bound = e.bind(&schema)?;
-                    cols.push(vectorized_eval(&input_batch, &bound, &schema)?);
-                    names.push(name.clone());
-                }
-                Batch { names, cols }
-            }
-            Plan::Join {
-                left,
-                right,
-                left_key,
-                right_key,
-            } => {
-                let c0 = Instant::now();
-                let lb = self.run_batch(left, depth + 1)?;
-                let rb = self.run_batch(right, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                let ls = lb.schema();
-                let rs = rb.schema();
-                let (lk, rk) = bind_join_keys(left_key, right_key, &ls, &rs)?;
-                let lkey_col = vectorized_eval(&lb, &lk, &ls)?;
-                let rkey_col = vectorized_eval(&rb, &rk, &rs)?;
-                let (lsel, rsel, side) = hash_join_selections(&lkey_col, &rkey_col, self.engine());
-                if let Some(g) = span.as_mut() {
-                    g.attr("build_side", side.label());
-                }
-                self.pending_note = Some(format!("build={}", side.label()));
-                let lout = lb.take(&lsel);
-                let rout = rb.take(&rsel);
-                let mut names = lout.names;
-                names.extend(rout.names);
-                let mut cols = lout.cols;
-                cols.extend(rout.cols);
-                Batch { names, cols }
-            }
-            Plan::Aggregate {
-                input,
-                group_by,
-                aggregates,
-            } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
-                vectorized_aggregate(
-                    self.catalog,
-                    plan,
-                    &input_batch,
-                    group_by,
-                    aggregates,
-                    self.engine(),
-                )?
-            }
-            Plan::Sort { input, keys } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
+            Plan::Sort { keys, .. } => {
                 let schema = input_batch.schema();
                 let bound: Vec<(Expr, bool)> = keys
                     .iter()
@@ -1062,17 +983,11 @@ impl<'a> Executor<'a> {
                 });
                 input_batch.take(&perm)
             }
-            Plan::Limit { input, n } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
+            Plan::Limit { n, .. } => {
                 let keep: Vec<usize> = (0..input_batch.row_count().min(*n)).collect();
                 input_batch.take(&keep)
             }
-            Plan::Distinct { input } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
+            Plan::Distinct { .. } => {
                 let mut seen = std::collections::HashSet::new();
                 let mut selection = Vec::new();
                 for i in 0..input_batch.row_count() {
@@ -1087,10 +1002,7 @@ impl<'a> Executor<'a> {
                 }
                 input_batch.take(&selection)
             }
-            Plan::TopN { input, keys, n } => {
-                let c0 = Instant::now();
-                let input_batch = self.run_batch(input, depth + 1)?;
-                child_ms = c0.elapsed().as_secs_f64() * 1e3;
+            Plan::TopN { keys, n, .. } => {
                 let schema = input_batch.schema();
                 let bound: Vec<(Expr, bool)> = keys
                     .iter()
@@ -1119,17 +1031,12 @@ impl<'a> Executor<'a> {
                 }
                 input_batch.take(&best)
             }
+            _ => unreachable!("only non-splitting operators reach here"),
         };
         let total_ms = start.elapsed().as_secs_f64() * 1e3;
         let rows_out = batch.row_count();
         if let Some(g) = span.as_mut() {
             g.attr("rows_out", rows_out);
-            if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, self.io_counters()) {
-                let logical = l1.saturating_sub(l0);
-                let physical = p1.saturating_sub(p0);
-                g.attr("pool_hits", logical.saturating_sub(physical))
-                    .attr("pool_misses", physical);
-            }
         }
         drop(span);
         self.profile.push(ProfileEntry {
@@ -1137,7 +1044,7 @@ impl<'a> Executor<'a> {
             depth,
             exclusive_ms: (total_ms - child_ms).max(0.0),
             rows_out,
-            note: self.pending_note.take(),
+            note: None,
         });
         Ok(batch)
     }
@@ -1621,147 +1528,8 @@ pub(crate) fn canonicalize_join_pairs(
     }
 }
 
-/// Builds the matching (left, right) row-index pairs of a hash equi-join,
-/// building on the smaller input and reporting which side that was.
-fn hash_join_selections(
-    lkey: &Column,
-    rkey: &Column,
-    engine: Engine,
-) -> (Vec<usize>, Vec<usize>, BuildSide) {
-    let side = choose_build_side(lkey, rkey);
-    let (lsel, rsel) = match side {
-        BuildSide::Left => JoinBuild::new(lkey, rkey, engine).probe_range(rkey, 0..rkey.len()),
-        BuildSide::Right => {
-            let (bsel, psel) = JoinBuild::new(rkey, lkey, engine).probe_range(lkey, 0..lkey.len());
-            (psel, bsel)
-        }
-    };
-    let (lsel, rsel) = canonicalize_join_pairs(side, lsel, rsel);
-    (lsel, rsel, side)
-}
-
-/// Hash aggregation over a columnar batch.
-pub(crate) fn vectorized_aggregate(
-    catalog: &Catalog,
-    plan: &Plan,
-    input: &Batch,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
-    engine: Engine,
-) -> Result<Batch, DbError> {
-    let schema = input.schema();
-    let group_cols: Vec<Arc<Column>> = group_by
-        .iter()
-        .map(|(e, _)| {
-            let b = e.bind(&schema)?;
-            vectorized_eval(input, &b, &schema)
-        })
-        .collect::<Result<_, _>>()?;
-    let agg_inputs: Vec<(AggFunc, Arc<Column>, DataType)> = aggregates
-        .iter()
-        .map(|(f, e, _)| {
-            let b = e.bind(&schema)?;
-            let dt = e.data_type(&schema)?;
-            Ok((*f, vectorized_eval(input, &b, &schema)?, dt))
-        })
-        .collect::<Result<_, DbError>>()?;
-
-    let n = input.row_count();
-    let new_states = || -> Vec<AggState> {
-        agg_inputs
-            .iter()
-            .map(|(f, _, dt)| AggState::new(*f, *dt))
-            .collect()
-    };
-
-    // SIMD tier, single Int group key: dense first-seen group ids through
-    // the lane-mixed open table, then per-group state updates in the same
-    // ascending row order the HashMap path applies. Int columns are
-    // NULL-free, so no rows drop — the group set, per-group states, and
-    // (post-sort) output are bit-identical to the scalar directory.
-    if engine == Engine::Simd && group_cols.len() == 1 {
-        if let Some(keys) = group_cols[0].as_int() {
-            let (gids, first_rows) = kernels::group_ids_i64(keys);
-            let mut per_group: Vec<Vec<AggState>> =
-                (0..first_rows.len()).map(|_| new_states()).collect();
-            for (i, &g) in gids.iter().enumerate() {
-                for ((_, col, _), state) in agg_inputs.iter().zip(&mut per_group[g as usize]) {
-                    state.update_from_col(col, i);
-                }
-            }
-            let rows: Vec<Vec<Value>> = per_group
-                .into_iter()
-                .zip(&first_rows)
-                .map(|(states, &first)| {
-                    let mut row = vec![group_cols[0].get(first as usize)];
-                    row.extend(states.into_iter().map(AggState::finish));
-                    row
-                })
-                .collect();
-            return finish_aggregate_batch(catalog, plan, rows);
-        }
-    }
-
-    let mut groups: HashMap<Vec<Key>, (usize, Vec<AggState>)> = HashMap::new();
-    let mut group_order: Vec<Vec<Value>> = Vec::new();
-    if group_by.is_empty() {
-        // Global aggregate: one group, no per-row key hashing.
-        let mut states = new_states();
-        if engine == Engine::Simd {
-            // Column-at-a-time lane folds where the kernels prove
-            // exactness; serial replay (identical to the scalar loop)
-            // otherwise. States are independent, so folding one state over
-            // the whole column before the next is the same accumulation.
-            for ((_, col, _), state) in agg_inputs.iter().zip(&mut states) {
-                if !state.update_bulk(col) {
-                    for i in 0..n {
-                        state.update_from_col(col, i);
-                    }
-                }
-            }
-        } else {
-            for i in 0..n {
-                for ((_, col, _), state) in agg_inputs.iter().zip(&mut states) {
-                    state.update_from_col(col, i);
-                }
-            }
-        }
-        groups.insert(Vec::new(), (0, states));
-        group_order.push(Vec::new());
-    } else {
-        'rows: for i in 0..n {
-            let mut key = Vec::with_capacity(group_cols.len());
-            for c in &group_cols {
-                match value_key(&c.get(i)) {
-                    Some(k) => key.push(k),
-                    None => continue 'rows, // NULL group keys drop the row
-                }
-            }
-            let next_id = group_order.len();
-            let entry = groups.entry(key).or_insert_with(|| {
-                group_order.push(group_cols.iter().map(|c| c.get(i)).collect());
-                (next_id, new_states())
-            });
-            for ((_, col, _), state) in agg_inputs.iter().zip(&mut entry.1) {
-                state.update_from_col(col, i);
-            }
-        }
-    }
-    // Assemble rows then sort deterministically.
-    let rows: Vec<Vec<Value>> = groups
-        .into_values()
-        .map(|(id, states)| {
-            let mut row = group_order[id].clone();
-            row.extend(states.into_iter().map(AggState::finish));
-            row
-        })
-        .collect();
-    finish_aggregate_batch(catalog, plan, rows)
-}
-
 /// Sorts assembled aggregate rows deterministically and materializes the
-/// output batch — shared by the serial and morsel-parallel aggregates so
-/// their final steps are literally the same code.
+/// output batch.
 pub(crate) fn finish_aggregate_batch(
     catalog: &Catalog,
     plan: &Plan,

@@ -425,15 +425,29 @@ pub(crate) fn group_ids_i64(keys: &[i64]) -> (Vec<u32>, Vec<u32>) {
 /// Largest magnitude below which every i64 is exactly representable as f64.
 const F64_EXACT: u64 = 1 << 53;
 
-/// Lane-accumulated sum of an Int column, exactness-guarded.
+/// Lane-accumulated sum of an Int input split into slices (one per
+/// morsel, in any order), exactness-guarded over the **whole** input.
 ///
-/// Returns `None` unless `Σ|v| < 2^53`. Under that guard every prefix sum
-/// of the scalar engine's `f64` accumulation has magnitude `< 2^53`, so
-/// each of its additions is exact and its final value equals this integer
-/// total — making the lane fold bit-identical to the serial fold. Without
-/// the guard the serial fold may round where integer lanes would not, so
-/// the caller must replay serially instead.
-pub(crate) fn sum_i64_exact(data: &[i64]) -> Option<i64> {
+/// Returns `None` unless `Σ|v| < 2^53` across every slice. Under that
+/// guard every prefix sum of the scalar engine's `f64` accumulation has
+/// magnitude `< 2^53`, so each of its additions is exact and its final
+/// value equals this integer total — making the lane fold bit-identical to
+/// the serial fold. A guard checked per slice would not do: each slice's
+/// sum can be exact while the running total across slices rounds. Without
+/// the guard the caller must replay serially instead.
+pub(crate) fn sum_i64_exact(parts: &[&[i64]]) -> Option<i64> {
+    let mut total = 0i64;
+    let mut abs = 0u64;
+    for data in parts {
+        let (t, a) = sum_abs_i64(data);
+        total = total.wrapping_add(t);
+        abs = abs.saturating_add(a);
+    }
+    (abs < F64_EXACT).then_some(total)
+}
+
+/// Wrapping lane sum and saturating lane sum of magnitudes of one slice.
+fn sum_abs_i64(data: &[i64]) -> (i64, u64) {
     let mut lanes = [0i64; LANES];
     let mut abs_lanes = [0u64; LANES];
     let mut chunks = data.chunks_exact(LANES);
@@ -454,7 +468,7 @@ pub(crate) fn sum_i64_exact(data: &[i64]) -> Option<i64> {
         total = total.wrapping_add(v);
         abs = abs.saturating_add(v.unsigned_abs());
     }
-    (abs < F64_EXACT).then_some(total)
+    (total, abs)
 }
 
 /// Lane-folded minimum of an Int column (`None` when empty). Min is
@@ -625,7 +639,7 @@ mod tests {
     #[test]
     fn sum_matches_serial_f64_fold_under_guard() {
         let data = ragged_data(1003);
-        let total = sum_i64_exact(&data).expect("small values pass the guard");
+        let total = sum_i64_exact(&[&data]).expect("small values pass the guard");
         let mut serial = 0.0f64;
         for &v in &data {
             serial += v as f64;
@@ -637,7 +651,20 @@ mod tests {
     fn sum_refuses_when_f64_fold_may_round() {
         // Σ|v| ≥ 2^53: the serial f64 fold is not provably exact.
         let data = vec![(1i64 << 53) - 1, 1, -5];
-        assert_eq!(sum_i64_exact(&data), None);
+        assert_eq!(sum_i64_exact(&[&data]), None);
+    }
+
+    #[test]
+    fn sum_guard_spans_every_slice() {
+        // Each slice alone passes the guard; together they do not.
+        let a = vec![1i64 << 52];
+        let b = vec![1i64 << 52, 1];
+        assert_eq!(sum_i64_exact(&[&a]), Some(1 << 52));
+        assert_eq!(sum_i64_exact(&[&b]), Some((1 << 52) + 1));
+        assert_eq!(sum_i64_exact(&[&a, &b]), None);
+        let data = ragged_data(300);
+        let (x, y) = data.split_at(123);
+        assert_eq!(sum_i64_exact(&[x, y]), sum_i64_exact(&[&data]));
     }
 
     #[test]

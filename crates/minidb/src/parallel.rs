@@ -1,108 +1,99 @@
-//! Morsel-driven parallel operators for the optimized engine.
+//! The batch engine's operators, run over morsels.
 //!
-//! When an [`Executor`](crate::exec::Executor) is configured with
-//! `with_parallelism(n > 1)`, eligible plan shapes are taken over here and
-//! split into fixed-size row-range *morsels* that worker threads pull from
-//! a shared atomic cursor ([`perfeval_pool::parallel_map_traced`]):
+//! `Scan`, `Filter`, `Project`, `Join` and `Aggregate` of the optimized
+//! engine (OPT and SIMD) run here at every thread count. Each splits its
+//! input into fixed-size row-range *morsels* that workers pull from a
+//! shared atomic cursor ([`perfeval_pool::parallel_map_traced`]). With
+//! `threads = 1` one worker drains the same queue inline on the calling
+//! thread: no thread is spawned and nothing else changes.
 //!
-//! * **scan→filter→project pipelines** run whole per morsel, with the
-//!   selection vector kept worker-local, and the per-column outputs are
-//!   stitched back together in morsel-index order;
-//! * **hash aggregation** groups each morsel locally, merges the group
-//!   directories serially in morsel order (preserving the serial engine's
-//!   first-seen group order), then finishes each group by replaying its
-//!   rows in ascending original order — so float accumulators see exactly
-//!   the serial addition sequence;
-//! * **hash joins** build the table serially on the smaller input and
-//!   probe in parallel over morsels of the other, concatenating the
-//!   matched pairs in morsel order and canonicalizing so the output is
-//!   independent of the build side.
+//! * **Pipelines** — a `Filter`/`Project` chain over a scan, or over any
+//!   other operator's materialized output — run whole per morsel, with the
+//!   selection vector kept worker-local. The per-morsel outputs are
+//!   stitched back together in morsel-index order.
+//! * **Hash aggregation** runs the input chain and a local grouping per
+//!   morsel (string keys by dictionary code), merges the group directories
+//!   in morsel order — the first-seen group order of one pass over the
+//!   input — and then folds each aggregate column-at-a-time over the
+//!   morsels in order, so every float accumulator sees its rows in input
+//!   order.
+//! * **Hash joins** build the table on the smaller input and probe over
+//!   morsels of the other, concatenating the matched pairs in morsel order
+//!   and canonicalizing so the output is independent of the build side.
 //!
 //! Every merge point is ordered by morsel index, never by completion
-//! order, which makes the result **bit-identical to the serial engine**
-//! for any thread count and morsel size — the property the correctness
-//! suite asserts and exhibit E19 leans on ("same question, same answer,
-//! different wall-clock").
+//! order, so the result is **bit-identical** for any thread count and
+//! morsel size, and matches the row-at-a-time debug engine — the property
+//! the correctness suite asserts and exhibit E19 leans on ("same question,
+//! same answer, different wall-clock").
 //!
-//! Operators that cannot split (`Sort`, `TopN`, `Limit`, `Distinct`) stay
-//! serial; their inputs still recurse through [`try_parallel`]. Inputs
-//! smaller than two morsels are declined (`Ok(None)`) *before* any I/O is
-//! charged, so falling back to the serial path never double-counts
-//! buffer-pool reads.
+//! `Sort`, `TopN`, `Limit` and `Distinct` do not split; they run in
+//! [`Executor::run_batch`] over their input's materialized batch.
 
-use crate::column::Column;
+use crate::column::{Column, StrDict};
 use crate::error::DbError;
 use crate::exec::{
     bind_join_keys, canonicalize_join_pairs, choose_build_side, finish_aggregate_batch, plan_label,
-    value_key, vectorized_aggregate, vectorized_eval, vectorized_filter, vectorized_filter_range,
-    AggState, Batch, Executor, JoinBuild, Key, ProfileEntry,
+    value_key, vectorized_eval, vectorized_filter, vectorized_filter_range, AggState, Batch,
+    BuildSide, Executor, JoinBuild, Key, ProfileEntry,
 };
 use crate::expr::{AggFunc, Expr};
-use crate::kernels::{Engine, Sel};
+use crate::kernels::{self, Engine, Sel};
 use crate::plan::Plan;
 use crate::types::{DataType, Value};
-use perfeval_pool::parallel_map_traced;
+use perfeval_pool::{parallel_map, parallel_map_traced};
 use perfeval_trace::{SpanGuard, Tracer};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Entry point from [`Executor::run_batch`]: runs `plan` morsel-parallel if
-/// its shape is eligible and the input is big enough to split, otherwise
-/// returns `Ok(None)` and the serial engine proceeds untouched.
-pub(crate) fn try_parallel(
+/// Runs a `Scan`, `Filter`, `Project`, `Join` or `Aggregate` node: the
+/// operators [`Executor::run_batch`] hands to the morsel engine.
+pub(crate) fn run_operator(
     ex: &mut Executor<'_>,
     plan: &Plan,
     depth: usize,
-) -> Result<Option<Batch>, DbError> {
+) -> Result<Batch, DbError> {
     match plan {
-        Plan::Filter { .. } | Plan::Project { .. } => try_pipeline(ex, plan, depth),
         Plan::Aggregate {
             input,
             group_by,
             aggregates,
-        } => try_aggregate(ex, plan, input, group_by, aggregates, depth),
+        } => run_aggregate(ex, plan, input, group_by, aggregates, depth),
         Plan::Join {
             left,
             right,
             left_key,
             right_key,
-        } => try_join(ex, left, right, left_key, right_key, depth).map(Some),
-        _ => Ok(None),
+        } => run_join(ex, left, right, left_key, right_key, depth),
+        _ => run_pipeline(ex, plan, depth),
     }
 }
 
 // --------------------------------------------------------------------
-// Pipeline chains: scan → filter* → project* run whole per morsel.
+// Pipeline chains: source → filter* → project* run whole per morsel.
 // --------------------------------------------------------------------
 
-/// A `Filter`/`Project` chain bottoming out in a `Scan`.
+/// A `Filter`/`Project` chain over its source: a base-table scan, or any
+/// other operator, whose output is materialized first.
 struct Chain<'p> {
     /// Chain nodes, root first (execution order is the reverse).
     stages: Vec<&'p Plan>,
-    table: &'p str,
-    projection: &'p Option<Vec<usize>>,
+    source: &'p Plan,
 }
 
-fn decompose(plan: &Plan) -> Option<Chain<'_>> {
+fn decompose(plan: &Plan) -> Chain<'_> {
     let mut stages = Vec::new();
     let mut cur = plan;
-    loop {
-        match cur {
-            Plan::Filter { input, .. } | Plan::Project { input, .. } => {
-                stages.push(cur);
-                cur = input;
-            }
-            Plan::Scan { table, projection } => {
-                return Some(Chain {
-                    stages,
-                    table,
-                    projection,
-                })
-            }
-            _ => return None,
-        }
+    while let Plan::Filter { input, .. } | Plan::Project { input, .. } = cur {
+        stages.push(cur);
+        cur = input;
+    }
+    Chain {
+        stages,
+        source: cur,
     }
 }
 
@@ -118,219 +109,49 @@ enum BoundStage {
     },
 }
 
-/// A chain checked for feasibility and fully bound — everything needed to
-/// run morsels. Produced *before* any buffer-pool charge so a `None`
-/// (too small, binding failed) falls back to the serial path without side
-/// effects.
+/// A chain whose source has run and whose stages are bound: everything
+/// the morsel workers read.
 struct PreparedChain {
-    scan_names: Vec<String>,
-    scan_col_idxs: Vec<usize>,
+    /// The source's output, shared read-only by every morsel.
+    base: Batch,
     /// Stages in execution (leaf→root) order.
     stages: Vec<BoundStage>,
     /// Operator labels matching `stages` (leaf→root).
     labels: Vec<String>,
     out_schema: Vec<(String, DataType)>,
-    rows: usize,
     morsels: usize,
 }
 
-fn prepare_chain(ex: &Executor<'_>, chain: &Chain<'_>) -> Result<Option<PreparedChain>, DbError> {
-    let t = ex.catalog.table(chain.table)?;
-    let rows = t.row_count();
-    let morsels = rows.div_ceil(ex.parallel.morsel_rows);
-    if morsels < 2 {
-        return Ok(None);
-    }
-    let scan_col_idxs: Vec<usize> = match chain.projection {
-        None => (0..t.column_count()).collect(),
-        Some(idxs) => idxs.clone(),
-    };
-    let scan_names: Vec<String> = scan_col_idxs
-        .iter()
-        .map(|&i| t.column_names()[i].clone())
-        .collect();
-    let mut schema: Vec<(String, DataType)> = scan_col_idxs
-        .iter()
-        .zip(&scan_names)
-        .map(|(&i, n)| (n.clone(), t.column(i).data_type()))
-        .collect();
-
-    let mut stages = Vec::with_capacity(chain.stages.len());
-    let mut labels = Vec::with_capacity(chain.stages.len());
-    for node in chain.stages.iter().rev() {
-        labels.push(plan_label(node));
-        match node {
-            Plan::Filter { predicate, .. } => {
-                let Ok(pred) = predicate.bind(&schema) else {
-                    return Ok(None); // serial path reproduces the error
-                };
-                stages.push(BoundStage::Filter { pred });
-            }
-            Plan::Project { exprs, .. } => {
-                let in_schema = schema.clone();
-                let mut bound = Vec::with_capacity(exprs.len());
-                let mut names = Vec::with_capacity(exprs.len());
-                let mut out = Vec::with_capacity(exprs.len());
-                for (e, name) in exprs {
-                    let (Ok(b), Ok(dt)) = (e.bind(&schema), e.data_type(&schema)) else {
-                        return Ok(None);
-                    };
-                    bound.push(b);
-                    names.push(name.clone());
-                    out.push((name.clone(), dt));
-                }
-                stages.push(BoundStage::Project {
-                    exprs: bound,
-                    names,
-                    in_schema,
-                });
-                schema = out;
-            }
-            _ => unreachable!("decompose only collects Filter/Project"),
-        }
-    }
-    Ok(Some(PreparedChain {
-        scan_names,
-        scan_col_idxs,
-        stages,
-        labels,
-        out_schema: schema,
-        rows,
-        morsels,
-    }))
-}
-
-/// Output of one morsel run through a chain.
-struct MorselOut {
-    batch: Batch,
-    /// Rows leaving each stage (leaf→root order).
-    stage_rows: Vec<usize>,
-    /// Seconds spent in each stage on the worker (leaf→root order).
-    stage_secs: Vec<f64>,
-}
-
-/// Runs rows `range` of `base` through the bound stages. The selection
-/// vector stays local (and lazy) until the first `Project` materializes.
-fn run_chain_morsel(
-    base: &Batch,
-    stages: &[BoundStage],
-    range: Range<usize>,
-    engine: Engine,
-) -> Result<MorselOut, DbError> {
-    let mut stage_rows = Vec::with_capacity(stages.len());
-    let mut stage_secs = Vec::with_capacity(stages.len());
-    let mut lazy_sel: Option<Sel> = Some(Sel::Dense(range));
-    let mut owned: Option<Batch> = None;
-    for stage in stages {
-        let t0 = Instant::now();
-        match stage {
-            BoundStage::Filter { pred } => {
-                if let Some(b) = owned.take() {
-                    let sel = vectorized_filter(&b, pred, engine)?;
-                    stage_rows.push(sel.len());
-                    owned = Some(b.take(&sel));
-                } else {
-                    let sel = vectorized_filter_range(
-                        base,
-                        pred,
-                        lazy_sel.take().expect("lazy"),
-                        engine,
-                    )?;
-                    stage_rows.push(sel.len());
-                    lazy_sel = Some(Sel::Sparse(sel));
-                }
-            }
-            BoundStage::Project {
-                exprs,
-                names,
-                in_schema,
-            } => {
-                let input = match owned.take() {
-                    Some(b) => b,
-                    None => base.take(&lazy_sel.take().expect("lazy").into_vec()),
-                };
-                let mut cols = Vec::with_capacity(exprs.len());
-                for e in exprs {
-                    cols.push(vectorized_eval(&input, e, in_schema)?);
-                }
-                let b = Batch {
-                    names: names.clone(),
-                    cols,
-                };
-                stage_rows.push(b.row_count());
-                owned = Some(b);
-            }
-        }
-        stage_secs.push(t0.elapsed().as_secs_f64());
-    }
-    let batch = match owned {
-        Some(b) => b,
-        None => base.take(&lazy_sel.expect("lazy").into_vec()),
-    };
-    Ok(MorselOut {
-        batch,
-        stage_rows,
-        stage_secs,
-    })
-}
-
-/// Concatenates per-morsel output batches in morsel-index order.
-fn concat_batches(schema: &[(String, DataType)], parts: &[Batch]) -> Batch {
-    let cols = schema
-        .iter()
-        .enumerate()
-        .map(|(ci, (_, dt))| {
-            let refs: Vec<&Column> = parts.iter().map(|b| &*b.cols[ci]).collect();
-            Arc::new(Column::concat(*dt, &refs))
-        })
-        .collect();
-    Batch {
-        names: schema.iter().map(|(n, _)| n.clone()).collect(),
-        cols,
-    }
-}
-
-/// Opens the chain's operator spans on the calling thread's lane, root
-/// stage first, scan last — the same nesting the serial engine produces.
-fn open_chain_spans<'t>(
-    tracer: Option<&'t Tracer>,
-    prep: &PreparedChain,
-    scan_label: &str,
-) -> Vec<SpanGuard<'t>> {
-    let Some(t) = tracer else { return Vec::new() };
-    let mut guards: Vec<SpanGuard<'t>> = prep
-        .labels
-        .iter()
-        .rev() // root first
-        .map(|l| t.span(l))
-        .collect();
-    guards.push(t.span(scan_label));
-    guards
-}
-
-/// Charges the scan and builds the zero-copy base batch, annotating the
-/// innermost (scan) span with the same pool accounting the serial scan
-/// records.
+/// The one scan routine: charges the modelled pool, shares the table's
+/// columns by `Arc` (disk-backed tables fetch through the buffer pool),
+/// and records the scan's span, with its pool hits and misses, and its
+/// profile entry.
 fn run_scan(
     ex: &mut Executor<'_>,
     table: &str,
-    prep: &PreparedChain,
-    guards: &mut [SpanGuard<'_>],
-) -> Result<(Batch, f64), DbError> {
-    let t0 = Instant::now();
+    projection: Option<&[usize]>,
+    depth: usize,
+) -> Result<Batch, DbError> {
+    let start = Instant::now();
+    let label = format!("Scan {table}");
+    let mut span = ex.tracer.map(|t| t.span(&label));
     let pool_before = ex.io_counters();
     ex.charge_scan(table)?;
     let t = ex.catalog.table(table)?;
+    let idxs: Vec<usize> = match projection {
+        None => (0..t.column_count()).collect(),
+        Some(p) => p.to_vec(),
+    };
     let base = Batch {
-        names: prep.scan_names.clone(),
-        cols: prep
-            .scan_col_idxs
+        names: idxs.iter().map(|&i| t.column_names()[i].clone()).collect(),
+        cols: idxs
             .iter()
             .map(|&i| t.column_arc_io(i))
             .collect::<Result<_, DbError>>()?,
     };
-    if let Some(g) = guards.last_mut() {
-        g.attr("rows_out", prep.rows);
+    let rows = base.row_count();
+    if let Some(g) = span.as_mut() {
+        g.attr("rows_out", rows);
         if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, ex.io_counters()) {
             let logical = l1.saturating_sub(l0);
             let physical = p1.saturating_sub(p0);
@@ -338,23 +159,164 @@ fn run_scan(
                 .attr("pool_misses", physical);
         }
     }
-    Ok((base, t0.elapsed().as_secs_f64()))
+    drop(span);
+    ex.profile.push(ProfileEntry {
+        op: label,
+        depth,
+        exclusive_ms: start.elapsed().as_secs_f64() * 1e3,
+        rows_out: rows,
+        note: None,
+    });
+    Ok(base)
 }
 
-/// The morsel span idiom shared by every parallel operator: anchored where
-/// the worker's lane became free, with the dispatch gap recorded as a
+/// Opens the chain's stage spans root first, so they nest like the plan
+/// and the source's spans nest inside them.
+fn open_stage_spans<'t>(tracer: Option<&'t Tracer>, chain: &Chain<'_>) -> Vec<SpanGuard<'t>> {
+    let Some(t) = tracer else { return Vec::new() };
+    chain
+        .stages
+        .iter()
+        .map(|s| t.span(&plan_label(s)))
+        .collect()
+}
+
+/// Runs the chain's source at `depth + stages` and binds the stages
+/// against its output. Bind errors are the plan's own.
+fn prepare_chain(
+    ex: &mut Executor<'_>,
+    chain: &Chain<'_>,
+    depth: usize,
+) -> Result<PreparedChain, DbError> {
+    let base = ex.run_batch(chain.source, depth + chain.stages.len())?;
+    let mut schema = base.schema();
+    let mut stages = Vec::with_capacity(chain.stages.len());
+    let mut labels = Vec::with_capacity(chain.stages.len());
+    for node in chain.stages.iter().rev() {
+        labels.push(plan_label(node));
+        match node {
+            Plan::Filter { predicate, .. } => stages.push(BoundStage::Filter {
+                pred: predicate.bind(&schema)?,
+            }),
+            Plan::Project { exprs, .. } => {
+                let mut bound = Vec::with_capacity(exprs.len());
+                let mut out = Vec::with_capacity(exprs.len());
+                for (e, name) in exprs {
+                    bound.push(e.bind(&schema)?);
+                    out.push((name.clone(), e.data_type(&schema)?));
+                }
+                stages.push(BoundStage::Project {
+                    exprs: bound,
+                    names: out.iter().map(|(n, _)| n.clone()).collect(),
+                    in_schema: std::mem::replace(&mut schema, out),
+                });
+            }
+            _ => unreachable!("decompose only collects Filter/Project"),
+        }
+    }
+    let morsels = base.row_count().div_ceil(ex.parallel.morsel_rows);
+    Ok(PreparedChain {
+        base,
+        stages,
+        labels,
+        out_schema: schema,
+        morsels,
+    })
+}
+
+/// A morsel's rows after the chain: still a selection over the base batch
+/// while no `Project` has run, a materialized batch after one has.
+enum MorselRows {
+    Sel(Sel),
+    Batch(Batch),
+}
+
+impl MorselRows {
+    fn len(&self) -> usize {
+        match self {
+            MorselRows::Sel(s) => s.len(),
+            MorselRows::Batch(b) => b.row_count(),
+        }
+    }
+
+    /// The rows as a batch plus the range of it they occupy. Rows no stage
+    /// touched stay in place in the shared base (zero-copy).
+    fn view(self, base: &Batch) -> (Cow<'_, Batch>, Range<usize>) {
+        match self {
+            MorselRows::Sel(Sel::Dense(range)) => (Cow::Borrowed(base), range),
+            MorselRows::Sel(Sel::Sparse(sel)) => (Cow::Owned(base.take(&sel)), 0..sel.len()),
+            MorselRows::Batch(b) => {
+                let n = b.row_count();
+                (Cow::Owned(b), 0..n)
+            }
+        }
+    }
+}
+
+/// Runs rows `range` of `base` through the bound stages, returning the
+/// surviving rows with the rows out of and seconds spent in each stage
+/// (leaf→root). The selection stays lazy until the first `Project`.
+fn run_chain_morsel(
+    base: &Batch,
+    stages: &[BoundStage],
+    range: Range<usize>,
+    engine: Engine,
+) -> Result<(MorselRows, Vec<usize>, Vec<f64>), DbError> {
+    let mut stage_rows = Vec::with_capacity(stages.len());
+    let mut stage_secs = Vec::with_capacity(stages.len());
+    let mut rows = MorselRows::Sel(Sel::Dense(range));
+    for stage in stages {
+        let t0 = Instant::now();
+        rows = match (stage, rows) {
+            (BoundStage::Filter { pred }, MorselRows::Sel(sel)) => MorselRows::Sel(Sel::Sparse(
+                vectorized_filter_range(base, pred, sel, engine)?,
+            )),
+            (BoundStage::Filter { pred }, MorselRows::Batch(b)) => {
+                let sel = vectorized_filter(&b, pred, engine)?;
+                MorselRows::Batch(b.take(&sel))
+            }
+            (
+                BoundStage::Project {
+                    exprs,
+                    names,
+                    in_schema,
+                },
+                rows,
+            ) => {
+                let input = match rows {
+                    MorselRows::Sel(sel) => base.take(&sel.into_vec()),
+                    MorselRows::Batch(b) => b,
+                };
+                let cols = exprs
+                    .iter()
+                    .map(|e| vectorized_eval(&input, e, in_schema))
+                    .collect::<Result<_, _>>()?;
+                MorselRows::Batch(Batch {
+                    names: names.clone(),
+                    cols,
+                })
+            }
+        };
+        stage_rows.push(rows.len());
+        stage_secs.push(t0.elapsed().as_secs_f64());
+    }
+    Ok((rows, stage_rows, stage_secs))
+}
+
+/// The morsel span idiom shared by every operator: anchored where the
+/// worker's lane became free, with the dispatch gap recorded as a
 /// `queue-wait` child and `queued_ms` attribute (be aware what you
 /// measure: queueing is not operator time).
 fn morsel_span<'t>(
     tracer: Option<&'t Tracer>,
-    name: &str,
+    m: usize,
     sweep_start_ns: u64,
     rows_in: usize,
 ) -> Option<SpanGuard<'t>> {
     let t = tracer?;
     let anchor_ns = t.lane_resume_ns().max(sweep_start_ns);
     let pickup_ns = t.now_ns();
-    let mut g = t.span_at(name, anchor_ns);
+    let mut g = t.span_at(&format!("morsel {m}"), anchor_ns);
     g.attr("rows_in", rows_in).attr(
         "queued_ms",
         pickup_ns.saturating_sub(anchor_ns) as f64 / 1e6,
@@ -363,100 +325,91 @@ fn morsel_span<'t>(
     Some(g)
 }
 
-/// Pushes the chain's profile entries in post-order (scan deepest-first,
-/// then stages leaf→root), mirroring what serial recursion emits. Stage
-/// times are summed worker seconds — CPU cost, not wall clock.
-fn push_chain_profile(
-    ex: &mut Executor<'_>,
-    prep: &PreparedChain,
-    scan_label: String,
-    scan_secs: f64,
-    stage_rows: &[usize],
-    stage_secs: &[f64],
-    depth: usize,
-) {
-    let nstages = prep.stages.len();
-    ex.profile.push(ProfileEntry {
-        op: scan_label,
-        depth: depth + nstages,
-        exclusive_ms: scan_secs * 1e3,
-        rows_out: prep.rows,
-        note: None,
-    });
-    for i in 0..nstages {
-        // Stage i is leaf→root; the root stage sits at `depth`.
-        let note = (i == nstages - 1).then(|| {
-            format!(
-                "parallel: {} morsels x {} threads",
-                prep.morsels, ex.parallel.threads
-            )
-        });
-        ex.profile.push(ProfileEntry {
-            op: prep.labels[i].clone(),
-            depth: depth + nstages - 1 - i,
-            exclusive_ms: stage_secs[i] * 1e3,
-            rows_out: stage_rows[i],
-            note,
-        });
-    }
+/// Runs `f` over the morsels of a `rows`-row input on the executor's
+/// workers: polls cancellation at every morsel boundary, wraps each
+/// morsel in its span and returns the results in morsel order.
+fn sweep<T: Send>(
+    ex: &Executor<'_>,
+    rows: usize,
+    f: impl Fn(Range<usize>, &mut Option<SpanGuard<'_>>) -> Result<T, DbError> + Sync,
+) -> Result<Vec<T>, DbError> {
+    let tracer = ex.tracer;
+    let morsel_rows = ex.parallel.morsel_rows;
+    let cancel = ex.cancel.as_ref();
+    let sweep_start_ns = tracer.map_or(0, |t| t.now_ns());
+    let (results, _workers) = parallel_map_traced(
+        rows.div_ceil(morsel_rows),
+        ex.parallel.threads,
+        tracer,
+        |m| {
+            if let Some(c) = cancel {
+                c.check()?;
+            }
+            let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
+            let mut span = morsel_span(tracer, m, sweep_start_ns, range.len());
+            f(range, &mut span)
+        },
+    );
+    results.into_iter().collect()
 }
 
-fn try_pipeline(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    let Some(chain) = decompose(plan) else {
-        return Ok(None);
-    };
-    let Some(prep) = prepare_chain(ex, &chain)? else {
-        return Ok(None);
-    };
-    let tracer = ex.tracer;
-    let scan_label = format!("Scan {}", chain.table);
-    let mut guards = open_chain_spans(tracer, &prep, &scan_label);
-    let (base, scan_secs) = run_scan(ex, chain.table, &prep, &mut guards)?;
-    // The scan span closes before stage work begins, like the serial engine.
-    guards.pop();
+/// Per-stage totals of a chain sweep (leaf→root): rows out, and worker
+/// seconds — CPU cost, not wall clock.
+struct StageTotals {
+    rows: Vec<usize>,
+    secs: Vec<f64>,
+}
 
-    let morsel_rows = ex.parallel.morsel_rows;
-    let rows = prep.rows;
-    let stages = &prep.stages;
+/// Runs the prepared chain over every morsel, handing each morsel's rows
+/// to `finish` on the worker, and returns the results in morsel order.
+fn sweep_chain<T: Send>(
+    ex: &Executor<'_>,
+    prep: &PreparedChain,
+    finish: impl Fn(MorselRows, &mut Option<SpanGuard<'_>>) -> Result<T, DbError> + Sync,
+) -> Result<(Vec<T>, StageTotals), DbError> {
     let engine = ex.engine();
-    let cancel = ex.cancel.clone();
-    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(prep.morsels, ex.parallel.threads, tracer, |m| {
-        if let Some(c) = &cancel {
-            c.check()?;
-        }
-        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
-        let rows_in = range.len();
-        let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-        let out = run_chain_morsel(&base, stages, range, engine)?;
-        if let Some(g) = span.as_mut() {
-            g.attr("rows_out", out.batch.row_count());
-        }
-        Ok::<MorselOut, DbError>(out)
-    });
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let outs = sweep(ex, prep.base.row_count(), |range, span| {
+        let (rows, stage_rows, stage_secs) =
+            run_chain_morsel(&prep.base, &prep.stages, range, engine)?;
+        Ok((finish(rows, span)?, stage_rows, stage_secs))
+    })?;
+    let n = prep.stages.len();
+    let mut totals = StageTotals {
+        rows: vec![0; n],
+        secs: vec![0.0; n],
+    };
+    let results = outs
+        .into_iter()
+        .map(|(r, rows, secs)| {
+            for i in 0..n {
+                totals.rows[i] += rows[i];
+                totals.secs[i] += secs[i];
+            }
+            r
+        })
+        .collect();
+    Ok((results, totals))
+}
 
-    let nstages = prep.stages.len();
-    let mut stage_rows = vec![0usize; nstages];
-    let mut stage_secs = vec![0f64; nstages];
-    for o in &outs {
-        for i in 0..nstages {
-            stage_rows[i] += o.stage_rows[i];
-            stage_secs[i] += o.stage_secs[i];
-        }
-    }
-    let parts: Vec<Batch> = outs.into_iter().map(|o| o.batch).collect();
-    let merged = concat_batches(&prep.out_schema, &parts);
+/// The profile note of a morsel-run operator.
+fn morsel_note(morsels: usize, threads: usize) -> String {
+    format!("{morsels} morsels x {threads} threads")
+}
 
-    // Close stage spans leaf-first with their summed row counts; the root
-    // stage additionally records the sweep shape.
+/// Closes the stage spans leaf first with their summed row counts (the
+/// root stage also records the sweep shape) and pushes the stages'
+/// profile entries leaf→root — the post-order a plan-tree recursion
+/// emits. The root stage sits at `depth`.
+fn finish_stages(
+    ex: &mut Executor<'_>,
+    prep: &PreparedChain,
+    mut guards: Vec<SpanGuard<'_>>,
+    totals: &StageTotals,
+    depth: usize,
+) {
+    let n = prep.stages.len();
     for (gi, g) in guards.iter_mut().enumerate() {
-        let si = nstages - 1 - gi; // guard 0 is the root stage
-        g.attr("rows_out", stage_rows[si]);
+        g.attr("rows_out", totals.rows[n - 1 - gi]); // guard 0 is the root
         if gi == 0 {
             g.attr("morsels", prep.morsels)
                 .attr("threads", ex.parallel.threads);
@@ -465,265 +418,404 @@ fn try_pipeline(
     while let Some(g) = guards.pop() {
         drop(g);
     }
-    push_chain_profile(
-        ex,
-        &prep,
-        scan_label,
-        scan_secs,
-        &stage_rows,
-        &stage_secs,
-        depth,
-    );
-    Ok(Some(merged))
+    for i in 0..n {
+        ex.profile.push(ProfileEntry {
+            op: prep.labels[i].clone(),
+            depth: depth + n - 1 - i,
+            exclusive_ms: totals.secs[i] * 1e3,
+            rows_out: totals.rows[i],
+            note: (i == n - 1).then(|| morsel_note(prep.morsels, ex.parallel.threads)),
+        });
+    }
 }
 
-// --------------------------------------------------------------------
-// Hash aggregation: local grouping per morsel, ordered merge, per-group
-// finish replaying rows in ascending original order.
-// --------------------------------------------------------------------
-
-/// One morsel's local grouping: its evaluated key/argument columns plus a
-/// group directory in local first-seen order.
-struct AggPart {
-    group_cols: Vec<Arc<Column>>,
-    agg_cols: Vec<Arc<Column>>,
-    /// Local group keys in first-seen order.
-    keys: Vec<Vec<Key>>,
-    /// First local row of each group (for extracting group values).
-    first_rows: Vec<u32>,
-    /// Local rows of each group, ascending.
-    rows: Vec<Vec<u32>>,
-}
-
-/// Groups rows `0..n` of the evaluated columns locally. NULL group keys
-/// drop the row, exactly as the serial engine does.
-fn group_local(
-    group_cols: Vec<Arc<Column>>,
-    agg_cols: Vec<Arc<Column>>,
-    n: usize,
-    grouped: bool,
-) -> AggPart {
-    let mut keys: Vec<Vec<Key>> = Vec::new();
-    let mut first_rows: Vec<u32> = Vec::new();
-    let mut rows: Vec<Vec<u32>> = Vec::new();
-    if !grouped {
-        // Global aggregate: one group holding every row.
-        if n > 0 {
-            keys.push(Vec::new());
-            first_rows.push(0);
-            rows.push((0..n as u32).collect());
+fn run_pipeline(ex: &mut Executor<'_>, plan: &Plan, depth: usize) -> Result<Batch, DbError> {
+    let chain = decompose(plan);
+    if let (Plan::Scan { table, projection }, []) = (chain.source, &chain.stages[..]) {
+        // A bare scan has no per-morsel work.
+        return run_scan(ex, table, projection.as_deref(), depth);
+    }
+    let guards = open_stage_spans(ex.tracer, &chain);
+    let prep = prepare_chain(ex, &chain, depth)?;
+    let (parts, totals) = sweep_chain(ex, &prep, |rows, span| {
+        if let Some(g) = span.as_mut() {
+            g.attr("rows_out", rows.len());
         }
-    } else {
-        let mut map: HashMap<Vec<Key>, usize> = HashMap::new();
-        'rows: for i in 0..n {
-            let mut key = Vec::with_capacity(group_cols.len());
-            for c in &group_cols {
-                match value_key(&c.get(i)) {
-                    Some(k) => key.push(k),
-                    None => continue 'rows,
-                }
-            }
-            let next = keys.len();
-            let id = *map.entry(key.clone()).or_insert_with(|| {
-                keys.push(key);
-                first_rows.push(i as u32);
-                rows.push(Vec::new());
-                next
+        Ok(rows)
+    })?;
+    let merged = stitch(&prep, parts);
+    finish_stages(ex, &prep, guards, &totals, depth);
+    Ok(merged)
+}
+
+/// Concatenates the per-morsel outputs in morsel-index order. Selections
+/// are concatenated and gathered once; materialized parts are appended
+/// column by column (a single part is moved, not copied).
+fn stitch(prep: &PreparedChain, parts: Vec<MorselRows>) -> Batch {
+    let mut sel = Vec::new();
+    let mut batches = Vec::with_capacity(parts.len());
+    for part in parts {
+        match part {
+            MorselRows::Sel(s) => sel.extend(s.into_vec()),
+            MorselRows::Batch(b) => batches.push(b),
+        }
+    }
+    let projected = prep
+        .stages
+        .iter()
+        .any(|s| matches!(s, BoundStage::Project { .. }));
+    if !projected {
+        return prep.base.take(&sel);
+    }
+    if batches.len() == 1 {
+        return batches.pop().expect("one part");
+    }
+    let schema = &prep.out_schema;
+    Batch {
+        names: schema.iter().map(|(n, _)| n.clone()).collect(),
+        cols: schema
+            .iter()
+            .enumerate()
+            .map(|(ci, (_, dt))| {
+                let refs: Vec<&Column> = batches.iter().map(|b| &*b.cols[ci]).collect();
+                Arc::new(Column::concat(*dt, &refs))
+            })
+            .collect(),
+    }
+}
+
+// --------------------------------------------------------------------
+// Hash aggregation: local grouping per morsel, ordered merge, then one
+// in-order fold per aggregate.
+// --------------------------------------------------------------------
+
+/// An evaluated expression over one morsel: a column and the rows of it
+/// the morsel owns. Column references into untouched rows read the
+/// shared base in place.
+struct MorselCol {
+    col: Arc<Column>,
+    rows: Range<usize>,
+}
+
+impl MorselCol {
+    /// Group key of the morsel's row `r`; strings by dictionary code.
+    fn key(&self, r: usize) -> Key {
+        let i = self.rows.start + r;
+        match &*self.col {
+            Column::Int(v) => Key::I(v[i]),
+            Column::Float(v) => Key::F(v[i].to_bits()),
+            Column::Bool(v) => Key::B(v[i]),
+            Column::Str { codes, .. } => Key::C(codes[i]),
+        }
+    }
+
+    fn get(&self, r: usize) -> Value {
+        self.col.get(self.rows.start + r)
+    }
+
+    fn dict(&self) -> Option<&Arc<StrDict>> {
+        match &*self.col {
+            Column::Str { dict, .. } => Some(dict),
+            _ => None,
+        }
+    }
+}
+
+/// A numeric or boolean literal repeated `n` times — `COUNT(*)`'s argument
+/// — without evaluating it per row. Strings and NULL return `None` and
+/// take the generic path.
+fn literal_column(v: &Value, n: usize) -> Option<Column> {
+    match *v {
+        Value::Int(i) => Some(Column::Int(vec![i; n])),
+        Value::Float(f) => Some(Column::Float(vec![f; n])),
+        Value::Bool(b) => Some(Column::Bool(vec![b; n])),
+        Value::Str(_) | Value::Null => None,
+    }
+}
+
+/// Evaluates `exprs` over rows `rows` of `batch`. Column references are
+/// zero-copy and literals need no input; other expressions see a batch of
+/// just the morsel's rows.
+fn eval_morsel(
+    batch: &Batch,
+    rows: &Range<usize>,
+    exprs: &[Expr],
+    schema: &[(String, DataType)],
+) -> Result<Vec<MorselCol>, DbError> {
+    let whole = rows.start == 0 && rows.end == batch.row_count();
+    let mut own: Option<Batch> = None;
+    let mut out = Vec::with_capacity(exprs.len());
+    for e in exprs {
+        if let Expr::ColumnIdx(i) = e {
+            out.push(MorselCol {
+                col: Arc::clone(&batch.cols[*i]),
+                rows: rows.clone(),
             });
-            rows[id].push(i as u32);
+            continue;
+        }
+        let literal = match e {
+            Expr::Literal(v) => literal_column(v, rows.len()),
+            _ => None,
+        };
+        let col = match literal {
+            Some(c) => Arc::new(c),
+            None if whole => vectorized_eval(batch, e, schema)?,
+            None => {
+                let input = own.get_or_insert_with(|| batch.slice(rows.clone()));
+                vectorized_eval(input, e, schema)?
+            }
+        };
+        out.push(MorselCol {
+            rows: 0..col.len(),
+            col,
+        });
+    }
+    Ok(out)
+}
+
+/// One morsel's share of an aggregation: its evaluated key and argument
+/// columns and, when grouped, each row's id in the morsel's own directory
+/// of distinct keys. [`merge_groups`] rewrites the ids to global ones.
+struct AggPart {
+    group_cols: Vec<MorselCol>,
+    agg_cols: Vec<MorselCol>,
+    /// Group id of each row (grouped aggregates only).
+    gids: Vec<u32>,
+    /// Distinct keys in first-seen order (`Str` columns by code).
+    keys: Vec<Vec<Key>>,
+    /// Morsel-relative first row of each key.
+    first_rows: Vec<u32>,
+}
+
+/// Groups one morsel's rows locally. SIMD takes the lane-mixed open table
+/// for a single Int key; every other key goes through a hash directory
+/// probed with a reused key buffer, so only new groups allocate.
+fn group_morsel(
+    group_cols: Vec<MorselCol>,
+    agg_cols: Vec<MorselCol>,
+    rows: usize,
+    engine: Engine,
+) -> AggPart {
+    let mut gids = Vec::new();
+    let mut keys: Vec<Vec<Key>> = Vec::new();
+    let mut first_rows = Vec::new();
+    let single_int = match group_cols.as_slice() {
+        [k] if engine == Engine::Simd => k.col.as_int().map(|v| &v[k.rows.clone()]),
+        _ => None,
+    };
+    if let Some(data) = single_int {
+        (gids, first_rows) = kernels::group_ids_i64(data);
+        keys = first_rows
+            .iter()
+            .map(|&r| vec![Key::I(data[r as usize])])
+            .collect();
+    } else if !group_cols.is_empty() {
+        let mut map: HashMap<Vec<Key>, u32> = HashMap::new();
+        let mut key = Vec::with_capacity(group_cols.len());
+        gids.reserve(rows);
+        for r in 0..rows {
+            key.clear();
+            key.extend(group_cols.iter().map(|c| c.key(r)));
+            let gid = match map.get(key.as_slice()) {
+                Some(&g) => g,
+                None => {
+                    let g = keys.len() as u32;
+                    map.insert(key.clone(), g);
+                    keys.push(key.clone());
+                    first_rows.push(r as u32);
+                    g
+                }
+            };
+            gids.push(gid);
         }
     }
     AggPart {
         group_cols,
         agg_cols,
+        gids,
         keys,
         first_rows,
-        rows,
     }
 }
 
-/// Merges the per-morsel group directories (in morsel order, so the global
-/// first-seen order matches serial), then finishes groups in parallel —
-/// each group replays its rows in ascending original order, giving float
-/// accumulators the serial addition sequence — and materializes the
-/// result through the same final step as the serial engine.
-fn merge_and_finish(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    parts: &[AggPart],
-    agg_meta: &[(AggFunc, DataType)],
-    grouped: bool,
-) -> Result<Batch, DbError> {
-    let mut gmap: HashMap<Vec<Key>, usize> = HashMap::new();
-    let mut gvals: Vec<Vec<Value>> = Vec::new();
-    let mut grows: Vec<Vec<(u32, u32)>> = Vec::new();
-    for (pi, part) in parts.iter().enumerate() {
-        for (li, key) in part.keys.iter().enumerate() {
-            let next = gvals.len();
-            let id = *gmap.entry(key.clone()).or_insert_with(|| {
-                let first = part.first_rows[li] as usize;
-                gvals.push(part.group_cols.iter().map(|c| c.get(first)).collect());
-                grows.push(Vec::new());
+/// True when every non-empty part's column `j` shares one dictionary —
+/// the only case in which codes from different morsels name the same
+/// strings. Non-`Str` columns trivially qualify.
+fn shares_one_dict(parts: &[AggPart], j: usize) -> bool {
+    let mut dicts = parts
+        .iter()
+        .filter(|p| !p.gids.is_empty())
+        .filter_map(|p| p.group_cols[j].dict());
+    let first = dicts.next();
+    first.is_none_or(|d| dicts.all(|x| Arc::ptr_eq(d, x)))
+}
+
+/// Merges the morsels' group directories in morsel order, so groups are
+/// numbered in the first-seen order of one pass over the input, and
+/// rewrites every part's row group ids to global ones. Returns each
+/// group's key values. `Str` keys stay codes only where every part shares
+/// one dictionary; otherwise they are compared by value.
+fn merge_groups(parts: &mut [AggPart]) -> Vec<Vec<Value>> {
+    let ncols = parts.first().map_or(0, |p| p.group_cols.len());
+    let by_code: Vec<bool> = (0..ncols).map(|j| shares_one_dict(parts, j)).collect();
+    let mut global: HashMap<Vec<Key>, u32> = HashMap::new();
+    let mut values: Vec<Vec<Value>> = Vec::new();
+    for part in parts.iter_mut() {
+        let mut remap = Vec::with_capacity(part.keys.len());
+        for (key, &first) in part.keys.iter().zip(&part.first_rows) {
+            let vals: Vec<Value> = part
+                .group_cols
+                .iter()
+                .map(|c| c.get(first as usize))
+                .collect();
+            let key: Vec<Key> = key
+                .iter()
+                .zip(&by_code)
+                .zip(&vals)
+                .map(|((k, &code), v)| match k {
+                    Key::C(_) if !code => value_key(v).expect("columns hold no NULL"),
+                    k => k.clone(),
+                })
+                .collect();
+            let next = values.len() as u32;
+            remap.push(*global.entry(key).or_insert_with(|| {
+                values.push(vals);
                 next
-            });
-            grows[id].extend(part.rows[li].iter().map(|&r| (pi as u32, r)));
+            }));
+        }
+        for g in &mut part.gids {
+            *g = remap[*g as usize];
         }
     }
+    values
+}
 
-    let finish_group = |gid: usize| -> Vec<Value> {
-        let mut states: Vec<AggState> = agg_meta
+/// Folds aggregate `a` over every part in morsel order into one state per
+/// group: each accumulator sees its rows in input order, so float sums are
+/// bit-identical to a row-order fold. SIMD folds an ungrouped integer
+/// aggregate with the lane kernels when their exactness guard holds over
+/// the whole input.
+fn fold_aggregate(
+    parts: &[AggPart],
+    a: usize,
+    (func, dt): (AggFunc, DataType),
+    groups: Option<usize>,
+    engine: Engine,
+) -> Vec<AggState> {
+    let Some(groups) = groups else {
+        let mut state = AggState::new(func, dt);
+        let slices: Vec<(&Column, Range<usize>)> = parts
             .iter()
-            .map(|(f, dt)| AggState::new(*f, *dt))
+            .map(|p| (&*p.agg_cols[a].col, p.agg_cols[a].rows.clone()))
             .collect();
-        for &(pi, r) in &grows[gid] {
-            let part = &parts[pi as usize];
-            for (state, col) in states.iter_mut().zip(&part.agg_cols) {
-                state.update_from_col(col, r as usize);
+        if !(engine == Engine::Simd && state.update_bulk(&slices)) {
+            for (col, rows) in slices {
+                for i in rows {
+                    state.update_from_col(col, i);
+                }
             }
         }
-        let mut row = gvals[gid].clone();
-        row.extend(states.into_iter().map(AggState::finish));
-        row
+        return vec![state];
     };
-
-    let rows: Vec<Vec<Value>> = if gvals.is_empty() && !grouped {
-        // Global aggregate over an empty input still yields one row.
-        let states: Vec<AggState> = agg_meta
-            .iter()
-            .map(|(f, dt)| AggState::new(*f, *dt))
-            .collect();
-        vec![states.into_iter().map(AggState::finish).collect()]
-    } else if gvals.len() >= 2 && ex.parallel.threads > 1 {
-        let (rows, _) = perfeval_pool::parallel_map(gvals.len(), ex.parallel.threads, finish_group);
-        rows
-    } else {
-        (0..gvals.len()).map(finish_group).collect()
-    };
-    finish_aggregate_batch(ex.catalog, plan, rows)
+    let mut states: Vec<AggState> = (0..groups).map(|_| AggState::new(func, dt)).collect();
+    for p in parts {
+        let c = &p.agg_cols[a];
+        for (r, &g) in p.gids.iter().enumerate() {
+            states[g as usize].update_from_col(&c.col, c.rows.start + r);
+        }
+    }
+    states
 }
 
-fn try_aggregate(
+/// Merges the parts' groups and folds every aggregate, one task per
+/// aggregate on at most one worker per morsel. Returns the unsorted
+/// output rows: key values, then finished aggregates.
+fn aggregate_parts(
+    mut parts: Vec<AggPart>,
+    agg_meta: &[(AggFunc, DataType)],
+    grouped: bool,
+    threads: usize,
+    engine: Engine,
+) -> Vec<Vec<Value>> {
+    let mut rows = if grouped {
+        merge_groups(&mut parts)
+    } else {
+        // A global aggregate yields one row, even over an empty input.
+        vec![Vec::new()]
+    };
+    let groups = grouped.then_some(rows.len());
+    let parts = &parts;
+    let (folded, _) = parallel_map(agg_meta.len(), threads.min(parts.len()), |a| {
+        fold_aggregate(parts, a, agg_meta[a], groups, engine)
+    });
+    for states in folded {
+        for (row, state) in rows.iter_mut().zip(states) {
+            row.push(state.finish());
+        }
+    }
+    rows
+}
+
+fn run_aggregate(
     ex: &mut Executor<'_>,
     plan: &Plan,
     input: &Plan,
     group_by: &[(Expr, String)],
     aggregates: &[(AggFunc, Expr, String)],
     depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    match decompose(input) {
-        Some(chain) => try_aggregate_fused(ex, plan, &chain, group_by, aggregates, depth),
-        None => try_aggregate_materialized(ex, plan, input, group_by, aggregates, depth).map(Some),
-    }
-}
-
-/// Fused mode: the aggregate's input is a scan→filter→project chain, so
-/// each morsel runs the chain *and* its local grouping in one pass,
-/// without ever materializing the full intermediate batch.
-fn try_aggregate_fused(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    chain: &Chain<'_>,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
-    depth: usize,
-) -> Result<Option<Batch>, DbError> {
-    let Some(prep) = prepare_chain(ex, chain)? else {
-        return Ok(None);
-    };
-    // Bind the aggregate's expressions against the chain output before any
-    // side effects; a failure falls back to the serial path's error.
-    let schema = &prep.out_schema;
-    let mut g_bound = Vec::with_capacity(group_by.len());
-    for (e, _) in group_by {
-        match e.bind(schema) {
-            Ok(b) => g_bound.push(b),
-            Err(_) => return Ok(None),
-        }
-    }
-    let mut a_bound = Vec::with_capacity(aggregates.len());
-    let mut agg_meta = Vec::with_capacity(aggregates.len());
-    for (f, e, _) in aggregates {
-        match (e.bind(schema), e.data_type(schema)) {
-            (Ok(b), Ok(dt)) => {
-                a_bound.push(b);
-                agg_meta.push((*f, dt));
-            }
-            _ => return Ok(None),
-        }
-    }
-
+) -> Result<Batch, DbError> {
     let tracer = ex.tracer;
     let mut agg_span = tracer.map(|t| t.span("HashAggregate"));
-    let scan_label = format!("Scan {}", chain.table);
-    let mut guards = open_chain_spans(tracer, &prep, &scan_label);
-    let (base, scan_secs) = run_scan(ex, chain.table, &prep, &mut guards)?;
-    guards.pop();
+    let chain = decompose(input);
+    let guards = open_stage_spans(tracer, &chain);
+    let prep = prepare_chain(ex, &chain, depth + 1)?;
+    let schema = &prep.out_schema;
+    let g_bound = group_by
+        .iter()
+        .map(|(e, _)| e.bind(schema))
+        .collect::<Result<Vec<_>, _>>()?;
+    let a_bound = aggregates
+        .iter()
+        .map(|(_, e, _)| e.bind(schema))
+        .collect::<Result<Vec<_>, _>>()?;
+    let agg_meta = aggregates
+        .iter()
+        .map(|(f, e, _)| Ok((*f, e.data_type(schema)?)))
+        .collect::<Result<Vec<_>, DbError>>()?;
 
-    let morsel_rows = ex.parallel.morsel_rows;
-    let rows = prep.rows;
-    let stages = &prep.stages;
-    let grouped = !group_by.is_empty();
-    let out_schema = &prep.out_schema;
-    let g_bound = &g_bound;
-    let a_bound = &a_bound;
     let engine = ex.engine();
-    let cancel = ex.cancel.clone();
-    let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-    let (results, _workers) = parallel_map_traced(prep.morsels, ex.parallel.threads, tracer, |m| {
-        if let Some(c) = &cancel {
-            c.check()?;
-        }
-        let range = m * morsel_rows..((m + 1) * morsel_rows).min(rows);
-        let rows_in = range.len();
-        let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-        let chain_out = run_chain_morsel(&base, stages, range, engine)?;
-        let t_agg = Instant::now();
-        let mb = &chain_out.batch;
-        let group_cols = g_bound
-            .iter()
-            .map(|e| vectorized_eval(mb, e, out_schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        let agg_cols = a_bound
-            .iter()
-            .map(|e| vectorized_eval(mb, e, out_schema))
-            .collect::<Result<Vec<_>, _>>()?;
-        let part = group_local(group_cols, agg_cols, mb.row_count(), grouped);
+    let (outs, totals) = sweep_chain(ex, &prep, |rows, span| {
+        let t0 = Instant::now();
+        let (batch, rows) = rows.view(&prep.base);
+        let group_cols = eval_morsel(&batch, &rows, &g_bound, schema)?;
+        let agg_cols = eval_morsel(&batch, &rows, &a_bound, schema)?;
+        let part = group_morsel(group_cols, agg_cols, rows.len(), engine);
         if let Some(g) = span.as_mut() {
-            g.attr("rows_out", mb.row_count())
+            g.attr("rows_out", rows.len())
                 .attr("groups", part.keys.len());
         }
-        Ok::<_, DbError>((
-            part,
-            chain_out.stage_rows,
-            chain_out.stage_secs,
-            t_agg.elapsed().as_secs_f64(),
-        ))
-    });
-    let outs = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-    let nstages = prep.stages.len();
-    let mut stage_rows = vec![0usize; nstages];
-    let mut stage_secs = vec![0f64; nstages];
-    let mut agg_secs = 0f64;
-    let mut parts = Vec::with_capacity(outs.len());
-    for (part, srows, ssecs, asecs) in outs {
-        for i in 0..nstages {
-            stage_rows[i] += srows[i];
-            stage_secs[i] += ssecs[i];
-        }
-        agg_secs += asecs;
-        parts.push(part);
-    }
-    for (gi, g) in guards.iter_mut().enumerate() {
-        g.attr("rows_out", stage_rows[nstages - 1 - gi]);
-    }
-    while let Some(g) = guards.pop() {
-        drop(g);
-    }
+        Ok((part, t0.elapsed().as_secs_f64()))
+    })?;
+    let mut agg_secs = 0.0;
+    let parts: Vec<AggPart> = outs
+        .into_iter()
+        .map(|(part, secs)| {
+            agg_secs += secs;
+            part
+        })
+        .collect();
+    finish_stages(ex, &prep, guards, &totals, depth + 1);
 
     let t_merge = Instant::now();
     let mut merge_span = tracer.map(|t| t.span("merge"));
-    let batch = merge_and_finish(ex, plan, &parts, &agg_meta, grouped)?;
+    let rows = aggregate_parts(
+        parts,
+        &agg_meta,
+        !group_by.is_empty(),
+        ex.parallel.threads,
+        engine,
+    );
+    let batch = finish_aggregate_batch(ex.catalog, plan, rows)?;
     if let Some(g) = merge_span.as_mut() {
         g.attr("groups", batch.row_count());
     }
@@ -736,164 +828,23 @@ fn try_aggregate_fused(
             .attr("threads", ex.parallel.threads);
     }
     drop(agg_span);
-    push_chain_profile(
-        ex,
-        &prep,
-        scan_label,
-        scan_secs,
-        &stage_rows,
-        &stage_secs,
-        depth + 1,
-    );
+    // The source and the stages have entries of their own; only the
+    // morsel grouping and the merge are this node's exclusive time.
     ex.profile.push(ProfileEntry {
         op: "HashAggregate".to_owned(),
         depth,
         exclusive_ms: (agg_secs + merge_secs) * 1e3,
         rows_out: batch.row_count(),
-        note: Some(format!(
-            "parallel: {} morsels x {} threads",
-            prep.morsels, ex.parallel.threads
-        )),
-    });
-    Ok(Some(batch))
-}
-
-/// Materialized mode: the aggregate's input is not a pipeline chain (e.g.
-/// a join), so it runs through the normal recursion — which may itself
-/// parallelize — and only the grouping is morsel-split, over row ranges
-/// of the materialized batch.
-fn try_aggregate_materialized(
-    ex: &mut Executor<'_>,
-    plan: &Plan,
-    input: &Plan,
-    group_by: &[(Expr, String)],
-    aggregates: &[(AggFunc, Expr, String)],
-    depth: usize,
-) -> Result<Batch, DbError> {
-    let start = Instant::now();
-    let tracer = ex.tracer;
-    let mut agg_span = tracer.map(|t| t.span("HashAggregate"));
-    let c0 = Instant::now();
-    let input_batch = ex.run_batch(input, depth + 1)?;
-    let child_ms = c0.elapsed().as_secs_f64() * 1e3;
-
-    let n = input_batch.row_count();
-    let morsel_rows = ex.parallel.morsel_rows;
-    let morsels = n.div_ceil(morsel_rows);
-    let batch = if morsels < 2 {
-        vectorized_aggregate(
-            ex.catalog,
-            plan,
-            &input_batch,
-            group_by,
-            aggregates,
-            ex.engine(),
-        )?
-    } else {
-        let schema = input_batch.schema();
-        let group_cols: Vec<Arc<Column>> = group_by
-            .iter()
-            .map(|(e, _)| vectorized_eval(&input_batch, &e.bind(&schema)?, &schema))
-            .collect::<Result<_, _>>()?;
-        let agg_cols: Vec<Arc<Column>> = aggregates
-            .iter()
-            .map(|(_, e, _)| vectorized_eval(&input_batch, &e.bind(&schema)?, &schema))
-            .collect::<Result<_, _>>()?;
-        let agg_meta: Vec<(AggFunc, DataType)> = aggregates
-            .iter()
-            .map(|(f, e, _)| Ok((*f, e.data_type(&schema)?)))
-            .collect::<Result<_, DbError>>()?;
-        let grouped = !group_by.is_empty();
-        let group_cols = &group_cols;
-        let agg_cols = &agg_cols;
-        let cancel = ex.cancel.clone();
-        let cancel = &cancel;
-        let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-        let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
-            let range = m * morsel_rows..((m + 1) * morsel_rows).min(n);
-            let rows_in = range.len();
-            // Morsel-boundary cancellation poll: an empty part is cheap
-            // and discarded below, so cancelled workers drain in bounded
-            // time without building a half-merged directory.
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return group_local(group_cols.to_vec(), agg_cols.to_vec(), 0, grouped);
-            }
-            let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-            // Each part shares the evaluated columns; its row ids are
-            // global, so restrict the directory to this morsel's range.
-            let mut part = group_local(
-                group_cols.to_vec(),
-                agg_cols.to_vec(),
-                0, // directory filled below over the global range
-                grouped,
-            );
-            fill_range_directory(&mut part, range, grouped);
-            if let Some(g) = span.as_mut() {
-                g.attr("groups", part.keys.len());
-            }
-            part
-        });
-        ex.check_cancel()?;
-        let parts = results;
-        merge_and_finish(ex, plan, &parts, &agg_meta, grouped)?
-    };
-
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
-    if let Some(g) = agg_span.as_mut() {
-        g.attr("rows_out", batch.row_count());
-    }
-    drop(agg_span);
-    ex.profile.push(ProfileEntry {
-        op: "HashAggregate".to_owned(),
-        depth,
-        exclusive_ms: (total_ms - child_ms).max(0.0),
-        rows_out: batch.row_count(),
-        note: (morsels >= 2).then(|| {
-            format!(
-                "parallel: {} morsels x {} threads",
-                morsels, ex.parallel.threads
-            )
-        }),
+        note: Some(morsel_note(prep.morsels, ex.parallel.threads)),
     });
     Ok(batch)
 }
 
-/// Builds a part's group directory over a *global* row range (materialized
-/// aggregation shares the evaluated columns across parts).
-fn fill_range_directory(part: &mut AggPart, range: Range<usize>, grouped: bool) {
-    if !grouped {
-        if !range.is_empty() {
-            part.keys.push(Vec::new());
-            part.first_rows.push(range.start as u32);
-            part.rows.push(range.map(|i| i as u32).collect());
-        }
-        return;
-    }
-    let mut map: HashMap<Vec<Key>, usize> = HashMap::new();
-    'rows: for i in range {
-        let mut key = Vec::with_capacity(part.group_cols.len());
-        for c in &part.group_cols {
-            match value_key(&c.get(i)) {
-                Some(k) => key.push(k),
-                None => continue 'rows,
-            }
-        }
-        let next = part.keys.len();
-        let id = *map.entry(key.clone()).or_insert_with(|| {
-            part.keys.push(key);
-            part.first_rows.push(i as u32);
-            part.rows.push(Vec::new());
-            next
-        });
-        part.rows[id].push(i as u32);
-    }
-}
-
 // --------------------------------------------------------------------
-// Hash join: serial build on the smaller side, parallel partitioned probe.
+// Hash join: build on the smaller input, probe over morsels.
 // --------------------------------------------------------------------
 
-fn try_join(
+fn run_join(
     ex: &mut Executor<'_>,
     left: &Plan,
     right: &Plan,
@@ -916,52 +867,30 @@ fn try_join(
     let rkey_col = vectorized_eval(&rb, &rk, &rs)?;
     let side = choose_build_side(&lkey_col, &rkey_col);
     let (build_col, probe_col) = match side {
-        crate::exec::BuildSide::Left => (&lkey_col, &rkey_col),
-        crate::exec::BuildSide::Right => (&rkey_col, &lkey_col),
+        BuildSide::Left => (&*lkey_col, &*rkey_col),
+        BuildSide::Right => (&*rkey_col, &*lkey_col),
     };
     let build = JoinBuild::new(build_col, probe_col, ex.engine());
-
-    let np = probe_col.len();
-    let morsel_rows = ex.parallel.morsel_rows;
-    let morsels = np.div_ceil(morsel_rows);
-    let (bsel, psel) = if morsels >= 2 {
-        let build = &build;
-        let probe_col: &Column = probe_col;
-        let cancel = ex.cancel.clone();
-        let cancel = &cancel;
-        let sweep_start_ns = tracer.map(|t| t.now_ns()).unwrap_or(0);
-        let (results, _workers) = parallel_map_traced(morsels, ex.parallel.threads, tracer, |m| {
-            let range = m * morsel_rows..((m + 1) * morsel_rows).min(np);
-            let rows_in = range.len();
-            // Morsel-boundary cancellation poll: empty pair lists drain
-            // the sweep fast; the post-sweep check discards them.
-            if cancel.as_ref().is_some_and(|c| c.is_cancelled()) {
-                return (Vec::new(), Vec::new());
-            }
-            let mut span = morsel_span(tracer, &format!("morsel {m}"), sweep_start_ns, rows_in);
-            let pairs = build.probe_range(probe_col, range);
-            if let Some(g) = span.as_mut() {
-                g.attr("rows_out", pairs.0.len());
-            }
-            pairs
-        });
-        ex.check_cancel()?;
-        // Morsel-order concatenation of probe-major ranges is exactly what
-        // one full-range probe produces.
-        let total: usize = results.iter().map(|(b, _)| b.len()).sum();
-        let mut bsel = Vec::with_capacity(total);
-        let mut psel = Vec::with_capacity(total);
-        for (b, p) in results {
-            bsel.extend(b);
-            psel.extend(p);
+    let pairs = sweep(ex, probe_col.len(), |range, span| {
+        let pairs = build.probe_range(probe_col, range);
+        if let Some(g) = span.as_mut() {
+            g.attr("rows_out", pairs.0.len());
         }
-        (bsel, psel)
-    } else {
-        build.probe_range(probe_col, 0..np)
-    };
+        Ok(pairs)
+    })?;
+    let morsels = pairs.len();
+    // Morsel-order concatenation of probe-major ranges is exactly what one
+    // full-range probe produces.
+    let total: usize = pairs.iter().map(|(b, _)| b.len()).sum();
+    let mut bsel = Vec::with_capacity(total);
+    let mut psel = Vec::with_capacity(total);
+    for (b, p) in pairs {
+        bsel.extend(b);
+        psel.extend(p);
+    }
     let (lsel, rsel) = match side {
-        crate::exec::BuildSide::Left => (bsel, psel),
-        crate::exec::BuildSide::Right => (psel, bsel),
+        BuildSide::Left => (bsel, psel),
+        BuildSide::Right => (psel, bsel),
     };
     let (lsel, rsel) = canonicalize_join_pairs(side, lsel, rsel);
 
@@ -976,26 +905,118 @@ fn try_join(
     let total_ms = start.elapsed().as_secs_f64() * 1e3;
     if let Some(g) = span.as_mut() {
         g.attr("rows_out", batch.row_count())
-            .attr("build_side", side.label());
-        if morsels >= 2 {
-            g.attr("morsels", morsels)
-                .attr("threads", ex.parallel.threads);
-        }
+            .attr("build_side", side.label())
+            .attr("morsels", morsels)
+            .attr("threads", ex.parallel.threads);
     }
     drop(span);
-    let mut note = format!("build={}", side.label());
-    if morsels >= 2 {
-        note.push_str(&format!(
-            "; parallel probe: {} morsels x {} threads",
-            morsels, ex.parallel.threads
-        ));
-    }
     ex.profile.push(ProfileEntry {
         op: "HashJoin".to_owned(),
         depth,
         exclusive_ms: (total_ms - child_ms).max(0.0),
         rows_out: batch.row_count(),
-        note: Some(note),
+        note: Some(format!(
+            "build={}; probe: {}",
+            side.label(),
+            morsel_note(morsels, ex.parallel.threads)
+        )),
     });
     Ok(batch)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::catalog::Catalog;
+    use crate::exec::{compare_rows, ExecMode};
+    use crate::parser::{parse, to_plan};
+    use crate::table::TableBuilder;
+
+    const STRINGS: [&str; 5] = ["alpha", "beta", "gamma", "delta", "epsilon"];
+
+    fn bit_equal(a: &[Vec<Value>], b: &[Vec<Value>]) -> bool {
+        a.len() == b.len()
+            && a.iter().zip(b).all(|(ra, rb)| {
+                ra.len() == rb.len()
+                    && ra.iter().zip(rb).all(|(x, y)| match (x, y) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        (x, y) => x == y,
+                    })
+            })
+    }
+
+    /// String group keys whose morsel parts each carry their own
+    /// dictionary — the same strings under different codes — must group
+    /// by value: bit-identical to the debug engine at every thread count
+    /// and morsel size. Merging the parts' codes as if they shared one
+    /// dictionary would fold different strings into one group.
+    #[test]
+    fn str_keys_over_divergent_dictionaries_group_by_value() {
+        let n = 200;
+        let s: Vec<&str> = (0..n).map(|i| STRINGS[(i * 7 + i / 3) % 5]).collect();
+        let v: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() * 1e3).collect();
+        let mut t = TableBuilder::new("t")
+            .column("s", DataType::Str)
+            .column("v", DataType::Float)
+            .build();
+        for i in 0..n {
+            t.push_row(vec![Value::Str(s[i].to_owned()), Value::Float(v[i])])
+                .unwrap();
+        }
+        let mut catalog = Catalog::new();
+        catalog.register(t).unwrap();
+        let sql = "SELECT s, COUNT(*), SUM(v), MIN(v) FROM t GROUP BY s";
+        let plan = to_plan(&parse(sql).unwrap(), |t| {
+            Ok(catalog.table(t)?.column_names().to_vec())
+        })
+        .unwrap();
+        let expected = Executor::new(&catalog, ExecMode::Debug)
+            .run(&plan)
+            .unwrap()
+            .rows;
+        let meta = [
+            (AggFunc::Count, DataType::Int),
+            (AggFunc::Sum, DataType::Float),
+            (AggFunc::Min, DataType::Float),
+        ];
+        for engine in [Engine::Scalar, Engine::Simd] {
+            for threads in [1usize, 2, 8] {
+                for morsel in [1usize, 3, 64] {
+                    let parts: Vec<AggPart> = (0..n.div_ceil(morsel))
+                        .map(|m| {
+                            let rows = m * morsel..((m + 1) * morsel).min(n);
+                            // A dictionary of this morsel's own, rotated so
+                            // neighbouring morsels code every string apart.
+                            let mut values: Vec<String> =
+                                STRINGS.iter().map(|s| (*s).to_owned()).collect();
+                            values.rotate_left(m % STRINGS.len());
+                            let dict = StrDict::from_values(values);
+                            let codes = rows.clone().map(|i| dict.code_of(s[i]).unwrap());
+                            let keys = Column::Str {
+                                codes: codes.collect(),
+                                dict: Arc::new(dict),
+                            };
+                            let vals = Column::Float(v[rows.clone()].to_vec());
+                            let whole = |c: Column| MorselCol {
+                                rows: 0..c.len(),
+                                col: Arc::new(c),
+                            };
+                            let agg_cols = vec![
+                                whole(Column::Int(vec![1; rows.len()])),
+                                whole(vals.clone()),
+                                whole(vals),
+                            ];
+                            group_morsel(vec![whole(keys)], agg_cols, rows.len(), engine)
+                        })
+                        .collect();
+                    let mut got = aggregate_parts(parts, &meta, true, threads, engine);
+                    got.sort_by(|a, b| compare_rows(a, b));
+                    assert!(
+                        bit_equal(&expected, &got),
+                        "{engine:?} threads={threads} morsel={morsel}:\n{expected:?}\n{got:?}"
+                    );
+                }
+            }
+        }
+    }
 }

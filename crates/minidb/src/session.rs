@@ -185,15 +185,18 @@ impl Session {
         self
     }
 
-    /// Sets the default worker-thread count for queries on this session
-    /// (`<= 1` is the serial engine; the debug engine ignores the knob).
-    /// Individual queries can override it with [`Query::parallelism`].
+    /// Sets the default number of morsel workers for queries on this
+    /// session. `<= 1` is one worker, which drains the morsel queue inline
+    /// on the calling thread; the engine is the same at every count, and
+    /// the debug engine ignores the knob. Individual queries can override
+    /// it with [`Query::parallelism`].
     pub fn with_parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
         self
     }
 
-    /// Sets the default rows-per-morsel granularity for parallel queries.
+    /// Sets the default rows-per-morsel granularity of the optimized
+    /// engine, at every worker count.
     ///
     /// # Panics
     /// Panics if `rows == 0`.
@@ -326,9 +329,10 @@ impl<'s, 'q> Query<'s, 'q> {
         self
     }
 
-    /// Runs this query with `threads` morsel workers (`<= 1` is serial).
-    /// The result is bit-identical to a serial run regardless of thread
-    /// count or morsel size; only the wall clock changes.
+    /// Runs this query with `threads` morsel workers (`<= 1` is one
+    /// worker, draining the morsel queue inline). The result is
+    /// bit-identical regardless of thread count or morsel size; only the
+    /// wall clock changes.
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.parallelism = threads.max(1);
         self

@@ -1,12 +1,12 @@
-//! Determinism suite for the morsel-parallel engine.
+//! Determinism suite for the morsel engine.
 //!
 //! The contract under test: for any data, any query shape the engine
 //! supports, any thread count, and any morsel size — including one-row
-//! morsels, ragged tails, and empty tables — the parallel optimized
-//! engine returns **bit-identical** results to the serial optimized
-//! engine, which in turn matches the debug engine. Float cells are
-//! compared by bit pattern, not `==`, so `-0.0` vs `0.0` or differently
-//! rounded sums cannot hide behind float equality.
+//! morsels, ragged tails, and empty tables — the optimized engine returns
+//! **bit-identical** results to the debug engine, and to its own run with
+//! one worker ("serial": `threads = 1`, which drains the same morsel queue
+//! inline). Float cells are compared by bit pattern, not `==`, so `-0.0`
+//! vs `0.0` or differently rounded sums cannot hide behind float equality.
 
 use minidb::{Catalog, DataType, ExecMode, Session, TableBuilder, Value};
 use proptest::prelude::*;
@@ -127,12 +127,17 @@ proptest! {
                 rows_bit_equal(&debug, &serial),
                 "DBG vs serial OPT diverged on {sql} (n={n}, m={m}, seed={seed})"
             );
-            for threads in [2usize, 3, 8] {
+            for threads in [1usize, 2, 3, 8] {
                 for morsel in [1usize, 3, 64] {
                     let parallel = run(&catalog, ExecMode::Optimized, threads, morsel, &sql);
                     prop_assert!(
                         rows_bit_equal(&serial, &parallel),
                         "parallel OPT ({threads} threads, morsel {morsel}) diverged on {sql} \
+                         (n={n}, m={m}, seed={seed})"
+                    );
+                    prop_assert!(
+                        rows_bit_equal(&debug, &parallel),
+                        "OPT ({threads} threads, morsel {morsel}) diverged from DBG on {sql} \
                          (n={n}, m={m}, seed={seed})"
                     );
                 }
@@ -148,22 +153,27 @@ fn edge_morsel_geometries() {
     for n in [0usize, 1, 2, 63, 64, 65, 128, 129] {
         let catalog = build_catalog(n, 7, 0xfeed);
         for sql in query_shapes() {
+            let debug = run(&catalog, ExecMode::Debug, 1, 64, &sql);
             let serial = run(&catalog, ExecMode::Optimized, 1, 64, &sql);
-            for (threads, morsel) in [(2, 64), (4, 1), (3, 63), (8, 130)] {
+            for (threads, morsel) in [(1, 1), (1, 63), (2, 64), (4, 1), (3, 63), (8, 130)] {
                 let parallel = run(&catalog, ExecMode::Optimized, threads, morsel, &sql);
                 assert!(
                     rows_bit_equal(&serial, &parallel),
                     "n={n} threads={threads} morsel={morsel} sql={sql}"
+                );
+                assert!(
+                    rows_bit_equal(&debug, &parallel),
+                    "vs DBG: n={n} threads={threads} morsel={morsel} sql={sql}"
                 );
             }
         }
     }
 }
 
-/// The parallel profile must tell the same story as the serial one: same
+/// The parallel profile must tell the same story as a one-worker run: same
 /// operators at the same depths with the same row counts (only the times
 /// and notes may differ), and the per-worker morsel spans must account
-/// for exactly the serial operator's output rows — no row lost or
+/// for exactly the one-worker operator's output rows — no row lost or
 /// double-counted across workers.
 #[test]
 fn parallel_profile_and_trace_account_for_every_row() {
@@ -181,7 +191,7 @@ fn parallel_profile_and_trace_account_for_every_row() {
     let parallel_result = parallel.query(sql).traced(&tracer).run().unwrap();
     assert_eq!(parallel_result.rows.len(), filter_rows);
 
-    // Profile: operator tree and row counts match the serial engine.
+    // Profile: operator tree and row counts match the one-worker run.
     let shape = |profile: &[minidb::exec::ProfileEntry]| -> Vec<(String, usize, usize)> {
         profile
             .iter()

@@ -4,27 +4,34 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use memsim::scan::scan_cost;
-use memsim::{Disk, MachineSpec};
+use memsim::{BufferPool, Disk, MachineSpec};
 use minidb::{ExecMode, FileSink, NullSink, Session, TerminalSink};
+use perfeval::era::replay_scans;
 use perfeval_bench::catalog_at;
 use workload::queries;
 
-/// E2: the same Q6 executed cold (flush before every iteration) vs hot.
+/// E2: the same Q6 run hot vs cold, each run's scans replayed on a
+/// modelled disk whose pool is flushed before every cold iteration.
 fn bench_e2_hot_cold(c: &mut Criterion) {
     let catalog = catalog_at(0.002);
     let sql = queries::q6();
     let mut group = c.benchmark_group("e2_hot_cold");
     group.sample_size(10);
-    let mut hot = Session::new(catalog.clone()).with_disk(Disk::raid_2008(), 100_000);
-    hot.query(&sql).run().unwrap();
-    group.bench_function("hot", |b| {
-        b.iter(|| hot.query(&sql).run().unwrap().sim_server_real_ms())
-    });
-    let mut cold = Session::new(catalog).with_disk(Disk::raid_2008(), 100_000);
+    let mut session = Session::new(catalog);
+    let plan = session.plan(&sql).unwrap();
+    // Measured execute wall time plus the replayed (modelled) disk wait.
+    let mut run = |disk: &mut BufferPool| {
+        let r = session.query(&sql).run().unwrap();
+        r.server_real_ms() + replay_scans(disk, session.catalog(), &plan).unwrap()
+    };
+    let mut hot = BufferPool::new(Disk::raid_2008(), 100_000);
+    run(&mut hot);
+    group.bench_function("hot", |b| b.iter(|| run(&mut hot)));
+    let mut cold = BufferPool::new(Disk::raid_2008(), 100_000);
     group.bench_function("cold", |b| {
         b.iter(|| {
-            cold.flush_caches();
-            cold.query(&sql).run().unwrap().sim_server_real_ms()
+            cold.flush();
+            run(&mut cold)
         })
     });
     group.finish();

@@ -6,7 +6,13 @@
 //! match: for the small-result query the four columns are close; for the
 //! large-result query client-side terminal time far exceeds everything
 //! else, because *printing* dominates.
+//!
+//! Every column is measured in-process except the terminal's device
+//! latency: a modern terminal emulator is far faster than the tutorial's,
+//! so the rendered lines and bytes are replayed through `memsim`'s model
+//! of the 2008 xterm and that modelled time is added to the measured one.
 
+use memsim::Terminal;
 use minidb::{FileSink, NullSink, Session, TerminalSink};
 use perfeval_bench::{banner, bench_catalog, print_environment};
 use workload::queries;
@@ -49,8 +55,10 @@ fn measure(session: &mut Session, name: &'static str, sql: &str) -> Row {
         query: name,
         server_user: server.server_user_ms(),
         server_real: server.server_real_ms(),
-        client_file: to_file.sim_client_real_ms(),
-        client_term: to_term.sim_client_real_ms(),
+        client_file: to_file.client_real_ms(),
+        // Header and separator lines, then one line per row.
+        client_term: to_term.client_real_ms()
+            + Terminal::xterm_2008().print_ms(to_term.row_count() + 2, to_term.result_bytes),
         result_kb: to_term.result_bytes as f64 / 1024.0,
     }
 }
@@ -75,7 +83,7 @@ fn main() {
             r.query, r.server_user, r.server_real, r.client_file, r.client_term, r.result_kb
         );
     }
-    println!("\n(times in milliseconds; 'term' includes simulated terminal rendering)");
+    println!("\n(times in milliseconds; 'term' adds the modelled 2008-xterm latency)");
     println!("(for the *measured* client-side decomposition over a real wire, see E21)");
 
     // The paper's qualitative claims, asserted.

@@ -68,10 +68,7 @@ fn catalog_bytes(catalog: &Catalog) -> u64 {
     catalog
         .table_names()
         .iter()
-        .map(|n| {
-            let t = catalog.table(n).expect("listed table");
-            t.row_count() as u64 * t.row_bytes()
-        })
+        .map(|n| catalog.table(n).expect("listed table").decoded_bytes())
         .sum()
 }
 

@@ -474,6 +474,7 @@ mod tests {
     use perfeval_core::factor::Level;
     use perfeval_fault::{FaultAction, Trigger};
     use perfeval_measure::protocol::RunProtocol;
+    use std::sync::Barrier;
 
     fn plan(runs: usize, reps: usize, seed: u64) -> RunPlan {
         let assignments = (0..runs)
@@ -573,22 +574,30 @@ mod tests {
     fn traced_sweep_records_units_across_worker_lanes() {
         let p = plan(4, 4, 1);
         let env = EnvFingerprint::simulated("trace-test");
-        let exp = |a: &Assignment| {
-            // Enough work per unit that both workers demonstrably run some.
-            let mut acc = a.num("x").unwrap() as u64;
-            for i in 0..200_000u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+        // The first two units meet at a barrier, so each of the two
+        // workers must run one: one worker cannot drain the whole queue.
+        let exp = || {
+            let ticket = AtomicUsize::new(0);
+            let barrier = Barrier::new(2);
+            move |a: &Assignment| {
+                if ticket.fetch_add(1, Ordering::SeqCst) < 2 {
+                    barrier.wait();
+                }
+                let mut acc = a.num("x").unwrap() as u64;
+                for i in 0..200_000u64 {
+                    acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                }
+                (acc % 97) as f64
             }
-            (acc % 97) as f64
         };
         let tracer = Tracer::new();
         let untraced = Scheduler::new(2)
-            .execute(&p, &exp, &ResultCache::disabled(), &env, None)
+            .execute(&p, &exp(), &ResultCache::disabled(), &env, None)
             .0;
         let traced = Scheduler::new(2)
             .execute_traced(
                 &p,
-                &exp,
+                &exp(),
                 &ResultCache::disabled(),
                 &env,
                 None,

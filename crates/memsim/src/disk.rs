@@ -6,13 +6,13 @@
 //! read; the [`BufferPool`] caches pages LRU-style and accumulates the
 //! simulated wait, so a second ("hot") run costs nothing.
 //!
-//! **Deprecated for measurement.** These models answer era what-ifs
-//! ("this scan on a 1996 disk") — that is all. For measured hot-vs-cold
-//! claims on the machine actually running, use `perfeval-store`'s real
-//! buffer pool, whose hits, misses, and evictions are counters over real
-//! `pread` calls (experiment `exp_e26_hot_cold`). E2 keeps using this
-//! model deliberately: its exhibit is the *shape* of the era table, not a
-//! measurement of the host.
+//! **Era what-ifs only, replayed after the fact.** No engine charges this
+//! model while it runs. An experiment runs its query for real, then
+//! replays what the run scanned — each table's bytes as one file, through
+//! [`BufferPool::scan_file`] — to ask "what would these reads have waited
+//! on a 1992 disk?". Measured hot-vs-cold claims on the running machine
+//! come from `perfeval-store`'s real buffer pool, whose hits, misses and
+//! evictions count real `pread` calls (experiment `exp_e26_hot_cold`).
 
 use std::collections::HashMap;
 
@@ -172,6 +172,17 @@ impl BufferPool {
         false
     }
 
+    /// Reads one file front to back: pages `0..pages` of `file`, in order,
+    /// where `pages` is `bytes` in whole disk pages (at least one). This is
+    /// a full table scan's page sequence; the first page pays positioning,
+    /// the rest transfer sequentially unless the pool already holds them.
+    pub fn scan_file(&mut self, file: u32, bytes: u64) {
+        let pages = bytes.div_ceil(self.disk.page_bytes).max(1);
+        for page in 0..pages {
+            self.read((file, page));
+        }
+    }
+
     /// Simulated I/O wait accumulated so far, in ns.
     pub fn sim_wait_ns(&self) -> f64 {
         self.sim_wait_ns
@@ -269,6 +280,41 @@ mod tests {
         pool.read((0, 5)); // skip -> random again
         let delta2 = pool.sim_wait_ns() - after_first - delta;
         assert!((delta2 - disk.read_ns(false)).abs() < 1e-6);
+    }
+
+    #[test]
+    fn scan_file_reads_whole_pages_in_order() {
+        // One scan charges exactly what a page loop over the same file
+        // would: the first page positions, the rest stream.
+        let disk = Disk::era_1992();
+        let mut scanned = BufferPool::new(disk.clone(), 100);
+        scanned.scan_file(3, 3 * disk.page_bytes + 1);
+        let mut looped = BufferPool::new(disk.clone(), 100);
+        for p in 0..4 {
+            looped.read((3, p));
+        }
+        assert_eq!(scanned.physical_reads(), 4);
+        assert_eq!(
+            scanned.sim_wait_ns().to_bits(),
+            looped.sim_wait_ns().to_bits()
+        );
+        // An empty file still occupies one page.
+        scanned.scan_file(4, 0);
+        assert_eq!(scanned.logical_reads(), 5);
+    }
+
+    #[test]
+    fn replayed_scan_is_charged_once_then_free() {
+        // A cold then hot scan of a 500 000-row FLOAT column (4 MB) on a
+        // 1992 disk: the cold wait alone is over a second, far beyond the
+        // scan's CPU cost, and the hot repeat adds nothing.
+        let mut pool = BufferPool::new(Disk::era_1992(), 10_000);
+        pool.scan_file(0, 500_000 * 8);
+        let cold = pool.sim_wait_ns();
+        assert!(cold > 1e9, "cold scan waits {cold} ns");
+        pool.scan_file(0, 500_000 * 8);
+        assert_eq!(pool.sim_wait_ns(), cold, "hot scan is free");
+        assert_eq!(pool.hit_rate(), 0.5);
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! * [`disk`] — a seek+transfer disk model and an LRU buffer pool whose
 //!   simulated wait time gives cold runs their characteristic
 //!   real ≫ user gap (slide 33).
+//! * [`terminal`] — a per-line, per-byte terminal latency model: the
+//!   printing cost of slide 23's file-vs-terminal table.
 //!
 //! Simulated time is kept separate from wall-clock time on purpose: a
 //! workload runs for real (CPU/user time is genuinely consumed) while its
@@ -30,18 +32,15 @@
 //!
 //! ## Scope: era what-ifs only — measurement lives in `perfeval-store`
 //!
-//! Since the repository gained real persistent storage (`perfeval-store`:
-//! on-disk segment files behind a buffer pool with genuine hit/miss/
-//! eviction counters), this crate's modeled disk and [`disk::BufferPool`]
-//! are **deprecated for measurement**. They remain the right tool for
-//! counterfactuals no amount of measuring can answer — "what would this
-//! scan cost on a 1992 Sun LX?", the era sweeps of E2/E4 — but any claim
-//! about *this* machine's hot-vs-cold behavior must come from the real
-//! pool's counters (see `exp_e26_hot_cold`, and `Session::flush_caches`,
-//! which empties the real pool and the OS page cache rather than
-//! resetting a model). When a catalog is disk-backed, minidb's hit/miss
-//! span attributes and `QueryResult::store_physical_reads` already come
-//! from the real store; the simulated numbers keep their `sim_` prefix.
+//! No engine calls this crate while a query runs. Its disk, buffer pool
+//! and terminal answer counterfactuals no amount of measuring can — "what
+//! would this scan have waited on a 1992 disk?" (E2), "what did printing
+//! cost on the tutorial's terminal?" (E1) — by replaying, after a real
+//! run, what that run scanned and printed. E4's machine sweep runs on the
+//! simulator alone. Any claim about *this* machine's hot-vs-cold
+//! behaviour comes from the real `perfeval-store` pool's counters (see
+//! `exp_e26_hot_cold`, and minidb's `Session::flush_caches`, which empties
+//! the real pool and the OS page cache).
 #![warn(missing_docs)]
 
 pub mod cache;
@@ -49,12 +48,14 @@ pub mod disk;
 pub mod hierarchy;
 pub mod machine;
 pub mod scan;
+pub mod terminal;
 
 pub use cache::CacheSim;
 pub use disk::{BufferPool, Disk, PageId};
 pub use hierarchy::{AccessOutcome, MemoryHierarchy};
 pub use machine::MachineSpec;
 pub use scan::{scan_cost, ScanCost};
+pub use terminal::Terminal;
 
 // The parallel scheduler (`perfeval-exec`) moves simulator state across
 // worker threads; these assertions turn any future non-Send field (Rc,

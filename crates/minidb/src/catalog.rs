@@ -1,4 +1,4 @@
-//! The catalog: a registry of tables plus their simulated storage layout.
+//! The catalog: a registry of tables, optionally backed by on-disk storage.
 
 use crate::error::DbError;
 use crate::storage::{open_catalog, persist_catalog, Storage, StoreConfig};
@@ -7,8 +7,7 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Registry of tables. Each table gets a stable `file_id` used for buffer
-/// pool page addressing.
+/// Registry of tables.
 ///
 /// A catalog opened with [`Catalog::open`] additionally carries a
 /// [`Storage`] handle: one real buffer pool shared by every table's
@@ -16,8 +15,7 @@ use std::sync::Arc;
 /// [`drop_caches`](Storage::drop_caches) switch for cold runs.
 #[derive(Debug, Clone, Default)]
 pub struct Catalog {
-    tables: BTreeMap<String, (u32, Table)>,
-    next_file_id: u32,
+    tables: BTreeMap<String, Table>,
     store: Option<Arc<Storage>>,
 }
 
@@ -33,9 +31,7 @@ impl Catalog {
         if self.tables.contains_key(&name) {
             return Err(DbError::DuplicateTable(name));
         }
-        let id = self.next_file_id;
-        self.next_file_id += 1;
-        self.tables.insert(name, (id, table));
+        self.tables.insert(name, table);
         Ok(())
     }
 
@@ -43,7 +39,6 @@ impl Catalog {
     pub fn table(&self, name: &str) -> Result<&Table, DbError> {
         self.tables
             .get(name)
-            .map(|(_, t)| t)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
@@ -51,21 +46,12 @@ impl Catalog {
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table, DbError> {
         self.tables
             .get_mut(name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
-    }
-
-    /// The buffer-pool file id of a table.
-    pub fn file_id(&self, name: &str) -> Result<u32, DbError> {
-        self.tables
-            .get(name)
-            .map(|(id, _)| *id)
             .ok_or_else(|| DbError::UnknownTable(name.to_owned()))
     }
 
     /// Drops a table; returns it if it existed.
     pub fn drop_table(&mut self, name: &str) -> Option<Table> {
-        self.tables.remove(name).map(|(_, t)| t)
+        self.tables.remove(name)
     }
 
     /// Names of all tables, sorted.
@@ -148,20 +134,6 @@ mod tests {
         c.register(table("a")).unwrap();
         let err = c.register(table("a")).unwrap_err();
         assert_eq!(err, DbError::DuplicateTable("a".to_owned()));
-    }
-
-    #[test]
-    fn file_ids_are_stable_and_distinct() {
-        let mut c = Catalog::new();
-        c.register(table("a")).unwrap();
-        c.register(table("b")).unwrap();
-        let ida = c.file_id("a").unwrap();
-        let idb = c.file_id("b").unwrap();
-        assert_ne!(ida, idb);
-        // Dropping and re-adding must not recycle the id.
-        c.drop_table("a");
-        c.register(table("a2")).unwrap();
-        assert_ne!(c.file_id("a2").unwrap(), ida);
     }
 
     #[test]

@@ -28,8 +28,8 @@ use crate::expr::{AggFunc, BinOp, Expr};
 use crate::kernels::{self, Cmp, Engine, Sel};
 use crate::plan::Plan;
 use crate::types::{DataType, Value};
-use memsim::BufferPool;
-use perfeval_trace::Tracer;
+use perfeval_store::PoolCounters;
+use perfeval_trace::{SpanGuard, Tracer};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -164,11 +164,17 @@ fn profile_post_to_pre(post: &mut Vec<ProfileEntry>) -> Vec<ProfileEntry> {
     pre
 }
 
+/// Records a storage-pool counter delta on `span` as its `pool_hits` and
+/// `pool_misses` attributes.
+pub(crate) fn record_pool_io(span: &mut SpanGuard<'_>, io: &PoolCounters) {
+    span.attr("pool_hits", io.hits())
+        .attr("pool_misses", io.physical_reads);
+}
+
 /// Executes plans against a catalog.
 pub struct Executor<'a> {
     pub(crate) catalog: &'a Catalog,
     mode: ExecMode,
-    pub(crate) pool: Option<&'a mut BufferPool>,
     pub(crate) tracer: Option<&'a Tracer>,
     pub(crate) profile: Vec<ProfileEntry>,
     /// Morsel workers and granularity for the optimized engine.
@@ -507,7 +513,6 @@ impl<'a> Executor<'a> {
         Executor {
             catalog,
             mode,
-            pool: None,
             tracer: None,
             profile: Vec::new(),
             parallel: ParallelConfig::default(),
@@ -551,12 +556,6 @@ impl<'a> Executor<'a> {
     pub fn with_morsel_rows(mut self, rows: usize) -> Self {
         assert!(rows > 0, "morsel size must be positive");
         self.parallel.morsel_rows = rows;
-        self
-    }
-
-    /// Attaches a buffer pool: scans will charge page reads through it.
-    pub fn with_pool(mut self, pool: &'a mut BufferPool) -> Self {
-        self.pool = Some(pool);
         self
     }
 
@@ -610,30 +609,11 @@ impl<'a> Executor<'a> {
         }
     }
 
-    pub(crate) fn charge_scan(&mut self, table: &str) -> Result<(), DbError> {
-        if let Some(pool) = self.pool.as_deref_mut() {
-            let file = self.catalog.file_id(table)?;
-            let t = self.catalog.table(table)?;
-            let pages = t.page_count(8192);
-            for p in 0..pages {
-                pool.read((file, p));
-            }
-        }
-        Ok(())
-    }
-
-    /// Current `(logical_reads, physical_reads)` for scan span attrs.
-    ///
-    /// Prefers the *real* storage pool of a disk-backed catalog; falls
-    /// back to the modeled `memsim` pool. Never mixes the two.
-    pub(crate) fn io_counters(&self) -> Option<(u64, u64)> {
-        if let Some(store) = self.catalog.storage() {
-            let c = store.counters();
-            return Some((c.logical_reads, c.physical_reads));
-        }
-        self.pool
-            .as_deref()
-            .map(|p| (p.logical_reads(), p.physical_reads()))
+    /// The storage pool's cumulative counters (`None` for an in-memory
+    /// catalog). Each call locks the shared pool, so scans read them only
+    /// while a span is recording.
+    pub(crate) fn io_counters(&self) -> Option<PoolCounters> {
+        self.catalog.storage().map(|s| s.counters())
     }
 
     // ----------------------------------------------------------------
@@ -649,16 +629,15 @@ impl<'a> Executor<'a> {
         self.check_cancel()?;
         let start = Instant::now();
         let label = plan_label(plan);
-        let pool_before = match plan {
-            Plan::Scan { .. } => self.io_counters(),
+        let mut span = self.tracer.map(|t| t.span(&label));
+        let io_before = match (&span, plan) {
+            (Some(_), Plan::Scan { .. }) => self.io_counters(),
             _ => None,
         };
-        let mut span = self.tracer.map(|t| t.span(&label));
         let result: (Vec<(String, DataType)>, Vec<Vec<Value>>);
         let mut child_ms = 0.0;
         match plan {
             Plan::Scan { table, projection } => {
-                self.charge_scan(table)?;
                 let t = self.catalog.table(table)?;
                 let schema = plan.schema(self.catalog)?;
                 let n = t.row_count();
@@ -915,11 +894,8 @@ impl<'a> Executor<'a> {
         let entry_rows = result.1.len();
         if let Some(g) = span.as_mut() {
             g.attr("rows_out", entry_rows);
-            if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, self.io_counters()) {
-                let logical = l1.saturating_sub(l0);
-                let physical = p1.saturating_sub(p0);
-                g.attr("pool_hits", logical.saturating_sub(physical))
-                    .attr("pool_misses", physical);
+            if let (Some(before), Some(after)) = (io_before, self.io_counters()) {
+                record_pool_io(g, &after.since(&before));
             }
         }
         drop(span);
@@ -1757,26 +1733,6 @@ mod tests {
         let text = render_profile(trace);
         assert!(text.contains("HashAggregate"));
         assert!(text.contains("rows"));
-    }
-
-    #[test]
-    fn buffer_pool_is_charged_once_per_scan() {
-        let c = catalog();
-        let mut pool = BufferPool::new(memsim::Disk::laptop_5400rpm(), 100);
-        let stmt = parse("SELECT qty FROM sales").unwrap();
-        let plan = to_plan(&stmt, |t| Ok(c.table(t)?.column_names().to_vec())).unwrap();
-        {
-            let mut ex = Executor::new(&c, ExecMode::Optimized).with_pool(&mut pool);
-            ex.run(&plan).unwrap();
-        }
-        assert!(pool.physical_reads() > 0, "cold scan reads pages");
-        let cold_wait = pool.sim_wait_ns();
-        assert!(cold_wait > 0.0);
-        {
-            let mut ex = Executor::new(&c, ExecMode::Optimized).with_pool(&mut pool);
-            ex.run(&plan).unwrap();
-        }
-        assert_eq!(pool.sim_wait_ns(), cold_wait, "hot scan is free");
     }
 
     #[test]

@@ -21,15 +21,15 @@
 //!   parse / optimize / execute / print times, like MonetDB's
 //!   `mclient -t` (`Trans/Shred/Query/Print`).
 //! * **Result sinks** ([`sink`]): query output can go to a file, a
-//!   terminal (with realistic rendering cost), or nowhere — the
+//!   terminal (with real two-pass table rendering), or nowhere — the
 //!   server-side vs. client-side, file vs. terminal distinction of the
 //!   "Be aware what you measure!" table.
-//! * **Buffer pool** (via `memsim`): table scans charge simulated disk I/O
-//!   through an LRU buffer pool, giving cold runs their real ≫ user gap.
 //! * **Persistence** ([`storage`], via `perfeval-store`): tables persist
 //!   to checksummed, compressed column segments and reopen disk-backed
-//!   behind a *real* buffer pool — so hot vs. cold is measured with real
-//!   hit/miss counters and `posix_fadvise` page-cache drops, not modeled.
+//!   behind a buffer pool — so hot vs. cold is measured with real
+//!   hit/miss counters and `posix_fadvise` page-cache drops. This pool is
+//!   the engine's one source of I/O counts; era what-ifs (a 1992 disk, a
+//!   2008 terminal) are replayed through `memsim` after a run.
 //! * **EXPLAIN / PROFILE / TRACE**: plan printing and per-operator time
 //!   accounting, the "CSI: find out what happens" tools.
 //!

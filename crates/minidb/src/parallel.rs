@@ -34,8 +34,8 @@ use crate::column::{Column, StrDict};
 use crate::error::DbError;
 use crate::exec::{
     bind_join_keys, canonicalize_join_pairs, choose_build_side, finish_aggregate_batch, plan_label,
-    value_key, vectorized_eval, vectorized_filter, vectorized_filter_range, AggState, Batch,
-    BuildSide, Executor, JoinBuild, Key, ProfileEntry,
+    record_pool_io, value_key, vectorized_eval, vectorized_filter, vectorized_filter_range,
+    AggState, Batch, BuildSide, Executor, JoinBuild, Key, ProfileEntry,
 };
 use crate::expr::{AggFunc, Expr};
 use crate::kernels::{self, Engine, Sel};
@@ -122,10 +122,9 @@ struct PreparedChain {
     morsels: usize,
 }
 
-/// The one scan routine: charges the modelled pool, shares the table's
-/// columns by `Arc` (disk-backed tables fetch through the buffer pool),
-/// and records the scan's span, with its pool hits and misses, and its
-/// profile entry.
+/// The one scan routine: shares the table's columns by `Arc` (disk-backed
+/// tables fetch through the buffer pool), and records the scan's span,
+/// with its pool hits and misses, and its profile entry.
 fn run_scan(
     ex: &mut Executor<'_>,
     table: &str,
@@ -135,8 +134,7 @@ fn run_scan(
     let start = Instant::now();
     let label = format!("Scan {table}");
     let mut span = ex.tracer.map(|t| t.span(&label));
-    let pool_before = ex.io_counters();
-    ex.charge_scan(table)?;
+    let io_before = span.as_ref().and_then(|_| ex.io_counters());
     let t = ex.catalog.table(table)?;
     let idxs: Vec<usize> = match projection {
         None => (0..t.column_count()).collect(),
@@ -152,11 +150,8 @@ fn run_scan(
     let rows = base.row_count();
     if let Some(g) = span.as_mut() {
         g.attr("rows_out", rows);
-        if let (Some((l0, p0)), Some((l1, p1))) = (pool_before, ex.io_counters()) {
-            let logical = l1.saturating_sub(l0);
-            let physical = p1.saturating_sub(p0);
-            g.attr("pool_hits", logical.saturating_sub(physical))
-                .attr("pool_misses", physical);
+        if let (Some(before), Some(after)) = (io_before, ex.io_counters()) {
+            record_pool_io(g, &after.since(&before));
         }
     }
     drop(span);

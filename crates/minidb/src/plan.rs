@@ -139,6 +139,26 @@ impl Plan {
         }
     }
 
+    /// The tables this plan scans, in the order both engines scan them:
+    /// leaves left to right, since a join runs its left input first.
+    pub fn scanned_tables(&self) -> Vec<&str> {
+        match self {
+            Plan::Scan { table, .. } => vec![table],
+            Plan::Join { left, right, .. } => {
+                let mut tables = left.scanned_tables();
+                tables.extend(right.scanned_tables());
+                tables
+            }
+            Plan::Filter { input, .. }
+            | Plan::Project { input, .. }
+            | Plan::Aggregate { input, .. }
+            | Plan::Sort { input, .. }
+            | Plan::Limit { input, .. }
+            | Plan::Distinct { input }
+            | Plan::TopN { input, .. } => input.scanned_tables(),
+        }
+    }
+
     /// Renders the indented operator tree (EXPLAIN output).
     pub fn explain(&self, catalog: &Catalog) -> String {
         let mut out = String::new();
@@ -337,6 +357,11 @@ mod tests {
         };
         let names: Vec<String> = p.schema(&c).unwrap().into_iter().map(|(n, _)| n).collect();
         assert_eq!(names, vec!["id", "price", "item_id", "tag"]);
+        assert_eq!(
+            p.scanned_tables(),
+            vec!["items", "tags"],
+            "left input first"
+        );
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //!
 //! * [`NullSink`] — discard (pure server-side timing);
 //! * [`FileSink`] — buffered tab-separated write to a file (cheap);
-//! * [`TerminalSink`] — aligned-table rendering (two passes over the data)
-//!   plus a simulated terminal latency per line and per byte, calibrated to
-//!   the pre-2008 xterm the tutorial measured.
+//! * [`TerminalSink`] — aligned-table rendering (two passes over the data).
+//!
+//! The sinks do real work only. What printing cost on the tutorial's
+//! terminal is an era what-if: E1 replays the rendered lines and bytes
+//! through `memsim`'s terminal model after the run.
 
 use crate::error::DbError;
 use crate::exec::ResultSet;
@@ -22,8 +24,6 @@ pub struct SinkReport {
     pub bytes: usize,
     /// Rows written.
     pub rows: usize,
-    /// Simulated device overhead in milliseconds (0 for real devices).
-    pub sim_overhead_ms: f64,
 }
 
 /// Consumes query results.
@@ -44,7 +44,6 @@ impl ResultSink for NullSink {
         Ok(SinkReport {
             bytes: 0,
             rows: result.row_count(),
-            sim_overhead_ms: 0.0,
         })
     }
 
@@ -90,7 +89,6 @@ impl ResultSink for FileSink {
         Ok(SinkReport {
             bytes,
             rows: result.row_count(),
-            sim_overhead_ms: 0.0,
         })
     }
 
@@ -99,43 +97,19 @@ impl ResultSink for FileSink {
     }
 }
 
-/// Renders an aligned ASCII table (the expensive part: a width-computation
-/// pass plus a formatting pass) and charges a simulated terminal latency.
-///
-/// The default latency constants (60 µs/line + 20 ns/byte) are calibrated so
-/// that a ~1 MB / ~20 k-row result adds roughly a second — the order of
-/// magnitude of the tutorial's Q16 terminal column.
-#[derive(Debug)]
+/// Renders an aligned ASCII table: a width-computation pass plus a
+/// formatting pass, the expensive part of printing to a terminal. The
+/// output is a header line, a separator line and one line per row.
+#[derive(Debug, Default)]
 pub struct TerminalSink {
     /// Rendered output accumulates here (a real terminal would display it).
     pub rendered: String,
-    line_latency_us: f64,
-    byte_latency_ns: f64,
-}
-
-impl Default for TerminalSink {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl TerminalSink {
-    /// Creates a terminal sink with default latency calibration.
+    /// Creates an empty terminal sink.
     pub fn new() -> Self {
-        TerminalSink {
-            rendered: String::new(),
-            line_latency_us: 60.0,
-            byte_latency_ns: 20.0,
-        }
-    }
-
-    /// Overrides the latency model (for ablations).
-    pub fn with_latency(line_latency_us: f64, byte_latency_ns: f64) -> Self {
-        TerminalSink {
-            rendered: String::new(),
-            line_latency_us,
-            byte_latency_ns,
-        }
+        Self::default()
     }
 }
 
@@ -177,22 +151,14 @@ impl ResultSink for TerminalSink {
         for row in &rendered_rows {
             push_row(row, &widths, &mut self.rendered);
         }
-        let bytes = self.rendered.len();
-        let lines = result.row_count() + 2;
-        let sim_overhead_ms =
-            lines as f64 * self.line_latency_us / 1e3 + bytes as f64 * self.byte_latency_ns / 1e6;
         Ok(SinkReport {
-            bytes,
+            bytes: self.rendered.len(),
             rows: result.row_count(),
-            sim_overhead_ms,
         })
     }
 
     fn describe(&self) -> String {
-        format!(
-            "terminal sink ({} us/line + {} ns/byte simulated)",
-            self.line_latency_us, self.byte_latency_ns
-        )
+        "terminal sink (aligned table)".to_owned()
     }
 }
 
@@ -216,7 +182,6 @@ mod tests {
         let r = s.consume(&result(100)).unwrap();
         assert_eq!(r.bytes, 0);
         assert_eq!(r.rows, 100);
-        assert_eq!(r.sim_overhead_ms, 0.0);
         assert!(s.describe().contains("null"));
     }
 
@@ -232,7 +197,6 @@ mod tests {
         assert!(content.starts_with("id\tname\n"));
         assert!(content.contains("2\tname-2"));
         assert_eq!(rep.bytes, content.len());
-        assert_eq!(rep.sim_overhead_ms, 0.0);
         std::fs::remove_file(&path).ok();
     }
 
@@ -247,33 +211,6 @@ mod tests {
         let w = lines[0].len();
         assert!(lines.iter().all(|l| l.len() == w), "{:?}", lines);
         assert!(lines[1].starts_with("+-"));
-    }
-
-    #[test]
-    fn terminal_cost_grows_with_result_size() {
-        let mut s = TerminalSink::new();
-        let small = s.consume(&result(10)).unwrap();
-        let large = s.consume(&result(10_000)).unwrap();
-        assert!(large.sim_overhead_ms > 50.0 * small.sim_overhead_ms);
-    }
-
-    #[test]
-    fn terminal_much_slower_than_file_for_big_results() {
-        // The slide-23 phenomenon in one assert.
-        let dir = std::env::temp_dir().join("minidb_sink_test2");
-        std::fs::create_dir_all(&dir).unwrap();
-        let r = result(20_000);
-        let mut term = TerminalSink::new();
-        let t = term.consume(&r).unwrap();
-        let mut file = FileSink::new(dir.join("big.tsv"));
-        let f = file.consume(&r).unwrap();
-        assert_eq!(f.sim_overhead_ms, 0.0);
-        assert!(
-            t.sim_overhead_ms > 1000.0,
-            "20k-row terminal print should cost > 1 s, got {} ms",
-            t.sim_overhead_ms
-        );
-        std::fs::remove_file(dir.join("big.tsv")).ok();
     }
 
     #[test]

@@ -188,15 +188,14 @@ impl Table {
         self.columns.iter().map(|c| c.get(i)).collect()
     }
 
-    /// Bytes of one row as stored (page accounting for the buffer pool).
+    /// Bytes of one decoded row: the sum of its columns' value widths.
     pub fn row_bytes(&self) -> u64 {
         self.columns.iter().map(|c| c.value_bytes()).sum()
     }
 
-    /// Number of 8 KiB pages this table occupies on the simulated disk.
-    pub fn page_count(&self, page_bytes: u64) -> u64 {
-        let total = self.row_count() as u64 * self.row_bytes();
-        total.div_ceil(page_bytes).max(1)
+    /// Decoded size of the whole table: rows × [`Table::row_bytes`].
+    pub fn decoded_bytes(&self) -> u64 {
+        self.row_count() as u64 * self.row_bytes()
     }
 
     /// Persists this table under `root/<name>/` as checksummed,
@@ -346,24 +345,18 @@ mod tests {
     }
 
     #[test]
-    fn row_bytes_and_pages() {
+    fn row_and_decoded_bytes() {
         let t = sample();
         // 8 (int) + 4 (str code) + 8 (float) = 20 bytes/row.
         assert_eq!(t.row_bytes(), 20);
-        assert_eq!(t.page_count(8192), 1);
+        assert_eq!(t.decoded_bytes(), t.row_count() as u64 * 20);
         let mut big = TableBuilder::new("big").column("x", DataType::Int).build();
         for i in 0..10_000 {
             big.push_row(vec![Value::Int(i)]).unwrap();
         }
-        // 80_000 bytes / 8192 = 9.77 -> 10 pages.
-        assert_eq!(big.page_count(8192), 10);
-    }
-
-    #[test]
-    fn empty_table_has_one_page() {
-        let t = TableBuilder::new("e").column("x", DataType::Int).build();
-        assert_eq!(t.page_count(8192), 1);
-        assert_eq!(t.row_count(), 0);
+        assert_eq!(big.decoded_bytes(), 80_000);
+        let empty = TableBuilder::new("e").column("x", DataType::Int).build();
+        assert_eq!(empty.decoded_bytes(), 0);
     }
 
     #[test]

@@ -4,9 +4,8 @@
 //! time is **measured, not simulated**.
 //!
 //! The paper's pitfall catalogue hinges on *where* the stopwatch sits:
-//! user vs. real time, client vs. server time (`mclient -t`). Before this
-//! crate, the reproduction faked the client side with a `sim_print_ms`
-//! constant. Now a query travels a length-prefixed binary protocol
+//! user vs. real time, client vs. server time (`mclient -t`). Here a
+//! query travels a length-prefixed binary protocol
 //! ([`frame`]) over a transport ([`transport`]) — real TCP, or a
 //! zero-syscall in-process loopback pipe behind the same trait — and one
 //! run yields the full decomposition:

@@ -16,7 +16,7 @@
 //! | [`minidb`] | the substrate DBMS: column store, SQL subset, DBG/OPT engines, EXPLAIN/PROFILE, result sinks |
 //! | [`net`] (`minidb-net`) | wire-protocol client/server layer: TCP + in-process loopback transports, streamed result batches with backpressure, the measured client/server time decomposition, and two server cores (event-driven sharded / thread-per-connection) behind one builder |
 //! | [`workload`] | TPC-H-like data generator, Q1/Q6/Q16-like queries, the 22-query DBG/OPT family, micro-benchmarks |
-//! | [`memsim`] | cache-hierarchy / disk / buffer-pool simulator with 1992–2008 machine presets (era what-ifs; measured I/O lives in `store`) |
+//! | [`memsim`] | cache-hierarchy / disk / buffer-pool / terminal simulator with 1992–2008 presets (era what-ifs, replayed after real runs by [`era`]; measured I/O lives in `store`) |
 //! | [`store`] (`perfeval-store`) | persistent columnar storage: checksummed segment files (RLE/dictionary encoded), a real buffer pool with LRU/Clock/2Q eviction and counted hits/misses, crash-safe temp-then-rename manifests, OS page-cache dropping for honest cold runs |
 //! | [`exec`] (`perfeval-exec`) | deterministic parallel experiment scheduler: run plans, order policies, worker pool, resumable result cache, failure-contained execution |
 //! | [`trace`] (`perfeval-trace`) | span-based observability: per-thread ring-buffer recorder, Chrome/Perfetto + flamegraph + tree exporters |
@@ -38,6 +38,8 @@
 //! assert_eq!(variation.ranked_effects()[0].0, "buffer");
 //! ```
 #![warn(missing_docs)]
+
+pub mod era;
 
 pub use memsim;
 pub use minidb;

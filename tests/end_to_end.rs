@@ -1,6 +1,7 @@
 //! Cross-crate integration: workload → engine → measurement → harness,
 //! exercising the full pipeline a user of the toolkit would run.
 
+use perfeval::era::replay_scans;
 use perfeval::harness::csvio::{read_csv, write_csv};
 use perfeval::harness::suite::{ExperimentSuite, Instructions, ParamGrid};
 use perfeval::prelude::*;
@@ -41,26 +42,53 @@ fn optimizer_on_off_preserves_results_across_family() {
 
 #[test]
 fn run_protocol_drives_session_hot_and_cold() {
-    let catalog = small_catalog();
-    let session =
-        std::cell::RefCell::new(Session::new(catalog).with_disk(Disk::era_1992(), 50_000));
+    let mut session = Session::new(small_catalog());
     let sql = queries::q6();
+    let plan = session.plan(&sql).unwrap();
+    let disk = std::cell::RefCell::new(BufferPool::new(Disk::era_1992(), 50_000));
     let protocol = RunProtocol::last_of_three_hot();
     let result = protocol.execute(
-        || session.borrow_mut().flush_caches(),
+        || disk.borrow_mut().flush(),
         || {
-            let r = session.borrow_mut().query(&sql).run().unwrap();
+            let r = session.query(&sql).run().unwrap();
+            let io_ms = replay_scans(&mut disk.borrow_mut(), session.catalog(), &plan).unwrap();
             Measurement::from_phases(vec![
                 ("user".into(), r.server_user_ms()),
-                ("io".into(), r.sim_io_ms),
+                ("io".into(), io_ms),
             ])
         },
     );
     // First run cold (I/O), last run hot (no I/O): the kept measurement is
-    // hot.
-    assert!(result.all[0].named("io").unwrap() > 0.0);
+    // hot. The cold wait is pinned bit for bit: it is the wait the engine
+    // charged when this disk model ran inside it.
+    let cold_io = result.all[0].named("io").unwrap();
+    assert_eq!(
+        cold_io.to_bits(),
+        0x40637271c71c71c7,
+        "cold wait {cold_io} ms"
+    );
     assert_eq!(result.kept[0].named("io").unwrap(), 0.0);
     assert_eq!(result.protocol_description(), protocol.describe());
+}
+
+#[test]
+fn era_replay_matches_the_hot_cold_example_bit_for_bit() {
+    // The hot_cold example's configuration. Replaying needs the plan and
+    // the table sizes only, not a run.
+    let session = Session::new(generate(&GenConfig {
+        scale_factor: 0.01,
+        ..GenConfig::default()
+    }));
+    let plan = session.plan(&queries::q1()).unwrap();
+    let mut disk = BufferPool::new(Disk::laptop_5400rpm(), 50_000);
+    let replay = |disk: &mut BufferPool| replay_scans(disk, session.catalog(), &plan).unwrap();
+    let cold = replay(&mut disk);
+    assert_eq!(cold.to_bits(), 0x4063511c71c71c7b, "cold wait {cold} ms");
+    assert_eq!(replay(&mut disk), 0.0, "hot wait");
+    assert_eq!(disk.hit_rate(), 0.5);
+    replay(&mut disk);
+    replay(&mut disk);
+    assert_eq!(disk.hit_rate(), 0.75, "cold + 3 hot, as the example prints");
 }
 
 #[test]
